@@ -90,7 +90,9 @@ def _cmd_involution(args: argparse.Namespace) -> int:
     inv, _, exc, dep = four_stats(perm)
     pinv, _, pexc, pdep = four_stats(partner)
     delta = pinv - inv
-    assert delta == pexc - exc == pdep - dep
+    if not delta == pexc - exc == pdep - dep:
+        print(f"error: partner {partner.to_text()!r} breaks the delta law", file=sys.stderr)
+        return 1
     row = {
         "partner": partner.to_text(),
         "delta": delta,

@@ -5,15 +5,19 @@ depth, weighted by (-1)^inv:
 
 * over all of S_n the distribution collapses:
   sum (-1)^inv s^exc t^depth = (1 - st)^(n-1) for n >= 1;
-* over derangements it stays rich; ``derangement_signed_gf`` computes it by
-  enumeration while ``derangement_series_rhs`` assembles the closed series
+* over derangements it stays rich; ``derangement_signed_gf`` computes it
+  while ``derangement_series_rhs`` assembles the closed series
 
       sum_{k>=1} (-1)^k ( sum_{i=0}^{k-1} C(k-1,i) s^(1+i) (1+s)^(k-1-i)
       z^(k+1+i) ) t^k
 
   whose z^n coefficients must agree with it.  ``derangement_table_report``
-  compares the t-layer decomposition of the enumerated polynomials against
+  compares the t-layer decomposition of the computed polynomials against
   a frozen table of anchor cells, each of the factored form c * s^a * (1+s)^b.
+
+Both signed sums are substitutions into the joint distribution
+``jfraction.brute_force_gf``: q -> -1 turns q^inv into the sign, p -> 1 sums
+over all of S_n, and p -> 0 keeps exactly the fixed-point-free permutations.
 """
 
 from __future__ import annotations
@@ -22,14 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import MultiPoly, S, T, binomial
 from .errors import SizeLimitError
-from .jfraction import SeriesTable
-from .permutations import image_stats, iter_derangements, iter_group
-
-#: Signed sums over all of S_n are refused beyond this size.
-SIGNED_GF_LIMIT = 9
-
-#: Signed sums over derangements are refused beyond this size.
-DERANGEMENT_GF_LIMIT = 10
+from .jfraction import SeriesTable, brute_force_gf
 
 #: Series assembly is refused beyond this order.
 SERIES_ORDER_LIMIT = 30
@@ -68,28 +65,14 @@ def signed_gf_permutations(n: int) -> MultiPoly:
     """sum over S_n of (-1)^inv s^exc t^depth; equals (1 - st)^(n-1)."""
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    if n > SIGNED_GF_LIMIT:
-        raise SizeLimitError(f"signed sum is limited to n <= {SIGNED_GF_LIMIT}")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for perm in iter_group(n):
-        inv, _, exc, dep = image_stats(perm.images)
-        key = (0, 0, exc, dep)
-        acc[key] = acc.get(key, 0) + (-1 if inv & 1 else 1)
-    return MultiPoly(acc)
+    return brute_force_gf(n).substitute({"q": -1, "p": 1})
 
 
 def derangement_signed_gf(n: int) -> MultiPoly:
     """sum over fixed-point-free sigma of (-1)^inv s^exc t^depth."""
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    if n > DERANGEMENT_GF_LIMIT:
-        raise SizeLimitError(f"signed sum is limited to n <= {DERANGEMENT_GF_LIMIT}")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for perm in iter_derangements(n):
-        inv, _, exc, dep = image_stats(perm.images)
-        key = (0, 0, exc, dep)
-        acc[key] = acc.get(key, 0) + (-1 if inv & 1 else 1)
-    return MultiPoly(acc)
+    return brute_force_gf(n).substitute({"q": -1, "p": 0})
 
 
 def derangement_series_rhs(order: int) -> SeriesTable:
@@ -159,7 +142,7 @@ class TableCell:
 
 
 def derangement_table_report() -> list[TableCell]:
-    """Compare the enumerated t-layers of the signed derangement polynomials
+    """Compare the t-layers of the signed derangement polynomials
     against the anchor table, cell for cell, for n in 2..9."""
     cells: list[TableCell] = []
     for n in TABLE_RANGE:

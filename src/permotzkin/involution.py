@@ -1,7 +1,8 @@
 """Euler numbers, sign imbalances, and a parity-reversing involution on S_n.
 
 ``sign_imbalance_depth`` and ``sign_imbalance_exc`` evaluate the signed sums
-sum (-1)^depth and sum (-1)^exc over S_n by direct enumeration.  Both vanish
+sum (-1)^depth and sum (-1)^exc over S_n by substituting into the joint
+distribution ``jfraction.brute_force_gf``.  Both vanish
 for even n; for odd n they equal E_n and (-1)^((n-1)/2) E_n respectively,
 where E_n are the Euler (secant/tangent) numbers computed here by the
 boustrophedon recurrence.
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SizeLimitError
+from .jfraction import BRUTE_FORCE_LIMIT, brute_force_gf
 from .permutations import Permutation, image_stats
 
 #: Euler-number tables are refused beyond this index.
@@ -42,7 +44,7 @@ EULER_LIMIT = 50
 INVOLUTION_LIMIT = 9
 
 #: Signed sums over S_n are refused beyond this size.
-IMBALANCE_LIMIT = 10
+IMBALANCE_LIMIT = BRUTE_FORCE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -82,27 +84,13 @@ def euler_numbers(limit: int) -> EulerTable:
 def sign_imbalance_depth(n: int) -> int:
     """sum over S_n of (-1)^depth: E_n for odd n, 0 for even n."""
     _check_imbalance_size(n)
-    total = 0
-    for images in itertools.permutations(range(1, n + 1)):
-        dep = 0
-        for i, v in enumerate(images, start=1):
-            if v > i:
-                dep += v - i
-        total += -1 if dep & 1 else 1
-    return total
+    return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": 1, "t": -1}).constant_value()
 
 
 def sign_imbalance_exc(n: int) -> int:
     """sum over S_n of (-1)^exc: (-1)^((n-1)/2) E_n for odd n, 0 for even n."""
     _check_imbalance_size(n)
-    total = 0
-    for images in itertools.permutations(range(1, n + 1)):
-        exc = 0
-        for i, v in enumerate(images, start=1):
-            if v > i:
-                exc += 1
-        total += -1 if exc & 1 else 1
-    return total
+    return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": -1, "t": 1}).constant_value()
 
 
 def _check_imbalance_size(n: int) -> None:

@@ -20,28 +20,25 @@ Two coefficient presets are built in:
   generating sum_{sigma in S_n} q^inv p^fix s^exc t^depth, i.e. the total
   weight of the weighted 3-colored Motzkin paths of length n.
 
-``brute_force_gf`` recomputes the refined series coefficient by direct
-summation over S_n and serves as the independent oracle in the test suite.
+``brute_force_gf`` recomputes the refined series coefficient without any
+Motzkin structure, by a dynamic program over the set of values already
+placed, and serves as the independent oracle for ``expand``.  Every other
+signed or specialised sum over S_n in the package is a substitution into it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import MultiPoly, P, Q, S, T, q_integer
+from .algebra import Monomial, MultiPoly, P, Q, S, T, q_integer
 from .errors import SizeLimitError
-from .permutations import image_stats
 
 #: Series expansion is refused beyond this order.
 EXPANSION_ORDER_LIMIT = 30
 
-#: Direct summation over S_n is refused beyond this size.
-BRUTE_FORCE_LIMIT = 9
-
-#: The depth-only direct summation is cheaper and allowed slightly further.
-DEPTH_BRUTE_FORCE_LIMIT = 10
+#: Sums over S_n are refused beyond this size.
+BRUTE_FORCE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,6 @@ def expand(spec: JFractionSpec, order: int) -> SeriesTable:
                     nxt[height - 1] = nxt.get(height - 1, MultiPoly.zero()) + down
         state = {h: poly for h, poly in nxt.items() if poly}
         coeffs.append(state.get(0, MultiPoly.zero()))
-    assert coeffs[0] == MultiPoly.one()
     return SeriesTable(tuple(coeffs))
 
 
@@ -113,31 +109,40 @@ def preset_refined() -> JFractionSpec:
 
 
 def brute_force_gf(n: int) -> MultiPoly:
-    """sum over S_n of q^inv p^fix s^exc t^depth, by direct enumeration."""
+    """sum over S_n of q^inv p^fix s^exc t^depth, tallied by a subset DP.
+
+    Values are placed at positions 1..n in turn; a state is the set of values
+    used so far, and it maps exponent tuples to counts.  Placing v at
+    position i adds the number of used values above v to inv, [v = i] to
+    fix, [v > i] to exc and max(v - i, 0) to depth.  These increments depend
+    only on the set and on v (i is one more than the set's size), so all
+    prefixes with the same set of values can share one state.
+
+    >>> str(brute_force_gf(2))
+    'q*s*t + p^2'
+    """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(f"brute force is limited to n <= {BRUTE_FORCE_LIMIT}")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        key = image_stats(images)
-        acc[key] = acc.get(key, 0) + 1
-    return MultiPoly(acc)
+    states: dict[int, dict[Monomial, int]] = {0: {(0, 0, 0, 0): 1}}
+    for i in range(1, n + 1):
+        nxt: dict[int, dict[Monomial, int]] = {}
+        for used, tally in states.items():
+            for v in range(1, n + 1):
+                bit = 1 << (v - 1)
+                if used & bit:
+                    continue
+                above = (used >> v).bit_count()
+                fixed, exceeds, rise = int(v == i), int(v > i), max(v - i, 0)
+                target = nxt.setdefault(used | bit, {})
+                for (inv, fix, exc, dep), count in tally.items():
+                    key = (inv + above, fix + fixed, exc + exceeds, dep + rise)
+                    target[key] = target.get(key, 0) + count
+        states = nxt
+    return MultiPoly(states[(1 << n) - 1])
 
 
 def brute_force_depth_gf(n: int) -> MultiPoly:
-    """sum over S_n of t^depth, by direct enumeration."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > DEPTH_BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"depth brute force is limited to n <= {DEPTH_BRUTE_FORCE_LIMIT}"
-        )
-    acc: dict[int, int] = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        dep = 0
-        for i, v in enumerate(images, start=1):
-            if v > i:
-                dep += v - i
-        acc[dep] = acc.get(dep, 0) + 1
-    return MultiPoly({(0, 0, 0, d): c for d, c in acc.items()})
+    """sum over S_n of t^depth."""
+    return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": 1})

@@ -118,21 +118,19 @@ def image_stats(images: tuple[int, ...]) -> tuple[int, int, int, int]:
 
 
 def inv_count(perm: Permutation) -> int:
-    images = perm.images
-    n = len(images)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if images[i] > images[j])
+    return image_stats(perm.images)[0]
 
 
 def exc_count(perm: Permutation) -> int:
-    return sum(1 for i, v in enumerate(perm.images, start=1) if v > i)
+    return image_stats(perm.images)[2]
 
 
 def fix_count(perm: Permutation) -> int:
-    return sum(1 for i, v in enumerate(perm.images, start=1) if v == i)
+    return image_stats(perm.images)[1]
 
 
 def depth(perm: Permutation) -> int:
-    return sum(v - i for i, v in enumerate(perm.images, start=1) if v > i)
+    return image_stats(perm.images)[3]
 
 
 def four_stats(perm: Permutation) -> tuple[int, int, int, int]:

@@ -111,10 +111,9 @@ def _check_refined_cf(max_n: int) -> list[ReportRecord]:
 
 
 def _check_depth_cf(max_n: int) -> list[ReportRecord]:
-    order = min(max_n, 9)
-    series = jfraction.expand(jfraction.preset_depth(), order)
+    series = jfraction.expand(jfraction.preset_depth(), max_n)
     records = []
-    for n in range(order + 1):
+    for n in range(max_n + 1):
         started = time.perf_counter()
         expected = jfraction.brute_force_depth_gf(n)
         records.append(_record("depth-cf", n, str(expected), str(series[n]), started))
@@ -122,9 +121,9 @@ def _check_depth_cf(max_n: int) -> list[ReportRecord]:
 
 
 def _imbalance_records(check: str, max_n: int, signed: bool) -> list[ReportRecord]:
-    euler = involution.euler_numbers(min(max_n, 10))
+    euler = involution.euler_numbers(max_n)
     records = []
-    for n in range(1, min(max_n, 10) + 1):
+    for n in range(1, max_n + 1):
         started = time.perf_counter()
         if n % 2 == 0:
             expected = 0
@@ -183,7 +182,7 @@ def _check_involution(max_n: int) -> list[ReportRecord]:
 
 def _check_signed_gf(max_n: int) -> list[ReportRecord]:
     records = []
-    for n in range(1, min(max_n, 9) + 1):
+    for n in range(1, max_n + 1):
         started = time.perf_counter()
         expected = (MultiPoly.one() - S * T) ** (n - 1)
         computed = identities.signed_gf_permutations(n)
@@ -192,10 +191,9 @@ def _check_signed_gf(max_n: int) -> list[ReportRecord]:
 
 
 def _check_derangement_series(max_n: int) -> list[ReportRecord]:
-    order = min(max_n, 9)
-    series = identities.derangement_series_rhs(order)
+    series = identities.derangement_series_rhs(max_n)
     records = []
-    for n in range(1, order + 1):
+    for n in range(1, max_n + 1):
         started = time.perf_counter()
         computed = identities.derangement_signed_gf(n)
         records.append(

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from permotzkin import verify
+from permotzkin import cli, verify
 from permotzkin.cli import main
+from permotzkin.permutations import Permutation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -115,6 +116,16 @@ def test_involution_command(capsys):
     assert code == 0
     [row] = json.loads(out)
     assert row == {"partner": "2 1", "delta": 1, "fixed": False}
+
+
+def test_involution_command_rejects_a_partner_breaking_the_delta_law(capsys, monkeypatch):
+    # 3 2 1 against 1 2 3 changes inv by 3, exc by 1 and depth by 2
+    reversed_three = Permutation.from_text("3 2 1")
+    monkeypatch.setattr(cli, "parity_reversing_involution", lambda perm: reversed_three)
+    code, out, err = run(capsys, "involution", "--perm", "1 2 3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: partner '3 2 1' breaks the delta law\n"
 
 
 def test_verify_passes_and_is_deterministic(capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from permotzkin.algebra import MultiPoly, S, T
@@ -11,6 +13,7 @@ from permotzkin.identities import (
     signed_gf_permutations,
 )
 from permotzkin.jfraction import brute_force_gf
+from permotzkin.permutations import four_stats, iter_derangements
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -28,7 +31,7 @@ def test_signed_gf_rejects_zero():
     with pytest.raises(ValueError):
         signed_gf_permutations(0)
     with pytest.raises(SizeLimitError):
-        signed_gf_permutations(10)
+        signed_gf_permutations(11)
 
 
 def test_derangement_gf_initial_values():
@@ -41,9 +44,10 @@ def test_derangement_gf_initial_values():
 
 def test_derangement_gf_specializes_the_full_distribution():
     # setting p = 0 keeps exactly the fixed-point-free permutations
-    for n in range(1, 7):
-        specialized = brute_force_gf(n).substitute({"q": -1, "p": 0})
-        assert specialized == derangement_signed_gf(n)
+    for n in range(1, 8):
+        walked = MultiPoly(Counter(map(four_stats, iter_derangements(n))))
+        assert brute_force_gf(n).substitute({"p": 0}) == walked
+        assert derangement_signed_gf(n) == walked.substitute({"q": -1})
 
 
 def test_series_rhs_low_coefficients():

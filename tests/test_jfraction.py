@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,12 @@ from permotzkin.jfraction import (
     preset_depth,
     preset_refined,
 )
+from permotzkin.permutations import image_stats
+
+
+def reference_tally(n):
+    """sum over S_n of q^inv p^fix s^exc t^depth, one permutation at a time."""
+    return MultiPoly(Counter(map(image_stats, itertools.permutations(range(1, n + 1)))))
 
 
 def test_depth_preset_coefficients():
@@ -82,14 +90,19 @@ def test_brute_force_examples():
     assert brute_force_gf(2).substitute({"p": 1, "s": 1, "q": 1}) == 1 + T
 
 
+def test_brute_force_matches_reference_tally():
+    for n in range(8):
+        assert brute_force_gf(n) == reference_tally(n)
+
+
 def test_brute_force_depth_agrees_with_full_sum():
     ones = {"q": 1, "p": 1, "s": 1}
-    for n in range(7):
-        assert brute_force_gf(n).substitute(ones) == brute_force_depth_gf(n)
+    for n in range(8):
+        assert brute_force_depth_gf(n) == reference_tally(n).substitute(ones)
 
 
 def test_brute_force_guards():
     with pytest.raises(SizeLimitError):
-        brute_force_gf(10)
+        brute_force_gf(11)
     with pytest.raises(SizeLimitError):
         brute_force_depth_gf(11)
