@@ -1,13 +1,22 @@
 """Exact multivariate polynomials in the variables q, p, s, t.
 
-Coefficients are plain Python integers (arbitrary precision), terms are keyed
-by exponent tuples ``(eq, ep, es, et)``.  The zero polynomial stores no terms
-and every stored coefficient is nonzero, so each value has exactly one
-representation and ``==`` is exact.  Values are never mutated after
-construction; all operations return fresh polynomials and are safe to share
-across threads or enumeration workers.
+Coefficients are plain Python integers (arbitrary precision).  Each term is
+keyed by one packed int: the exponents (eq, ep, es, et) sit in fixed-width
+fields of ``FIELD_BITS`` bits, eq in the most significant one, so that
+multiplying two monomials is a single integer addition.  Every exponent must
+be below ``EXPONENT_LIMIT``; the top bit of each field is a guard that stays
+clear in every stored key, so the sum of two keys never carries into the
+next field, and a product whose exponent reaches the limit sets a guard bit
+and raises ``ValueError`` instead.  The public API speaks in exponent tuples
+throughout; only ``packed_key`` and ``from_packed`` expose the packing.
 
-Serialization lists terms in descending lexicographic exponent order:
+The zero polynomial stores no terms and every stored coefficient is nonzero,
+so each value has exactly one representation and ``==`` is exact.  Values
+are never mutated after construction; all operations return fresh
+polynomials and are safe to share across threads or enumeration workers.
+
+Serialization lists terms in descending lexicographic exponent order, which
+is descending packed-key order:
 
 >>> str((MultiPoly.one() - S * T) ** 2)
 's^2*t^2 - 2*s*t + 1'
@@ -20,6 +29,8 @@ MultiPoly('0')
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import or_
 from typing import Iterator, Mapping
 
 #: Variable order used everywhere: exponent tuples are (eq, ep, es, et).
@@ -27,7 +38,43 @@ VARIABLES = ("q", "p", "s", "t")
 
 Monomial = tuple[int, int, int, int]
 
-_UNIT: Monomial = (0, 0, 0, 0)
+#: Width of one exponent field in a packed key, guard bit included.
+FIELD_BITS = 24
+
+#: Every exponent of a stored term is below this bound.
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_SHIFT_Q, _SHIFT_P, _SHIFT_S, _SHIFT_T = _SHIFTS = tuple(
+    FIELD_BITS * i for i in reversed(range(len(VARIABLES)))
+)
+_KEY_LIMIT = 1 << (FIELD_BITS * len(VARIABLES))
+_GUARDS = sum(EXPONENT_LIMIT << shift for shift in _SHIFTS)
+
+
+def _pack(mono: Monomial) -> int:
+    if len(mono) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in mono):
+        raise ValueError(f"bad exponent tuple {mono!r}")
+    if max(mono) >= EXPONENT_LIMIT:
+        raise ValueError(f"exponent tuple {mono!r} has an exponent >= {EXPONENT_LIMIT}")
+    eq, ep, es, et = mono
+    return eq << _SHIFT_Q | ep << _SHIFT_P | es << _SHIFT_S | et << _SHIFT_T
+
+
+def _unpack(key: int) -> Monomial:
+    return (
+        key >> _SHIFT_Q & _FIELD_MASK,
+        key >> _SHIFT_P & _FIELD_MASK,
+        key >> _SHIFT_S & _FIELD_MASK,
+        key >> _SHIFT_T & _FIELD_MASK,
+    )
+
+
+def _wrap(terms: dict[int, int]) -> "MultiPoly":
+    """A polynomial owning ``terms``: valid keys, no zero coefficients."""
+    poly = MultiPoly.__new__(MultiPoly)
+    poly._terms = terms
+    return poly
 
 
 class MultiPoly:
@@ -36,17 +83,14 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None) -> None:
-        cleaned: dict[Monomial, int] = {}
+        cleaned: dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items():
                 if not isinstance(coeff, int):
                     raise TypeError(f"coefficient {coeff!r} is not an integer")
-                if len(mono) != len(VARIABLES) or any(
-                    not isinstance(e, int) or e < 0 for e in mono
-                ):
-                    raise ValueError(f"bad exponent tuple {mono!r}")
+                key = _pack(mono)
                 if coeff:
-                    cleaned[tuple(mono)] = coeff
+                    cleaned[key] = coeff
         self._terms = cleaned
 
     # -- constructors --------------------------------------------------
@@ -57,11 +101,11 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({_UNIT: 1})
+        return cls.constant(1)
 
     @classmethod
     def constant(cls, value: int) -> "MultiPoly":
-        return cls({_UNIT: value})
+        return cls({(0, 0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -73,14 +117,41 @@ class MultiPoly:
     def monomial(cls, exponents: Monomial, coeff: int = 1) -> "MultiPoly":
         return cls({tuple(exponents): coeff})
 
+    @staticmethod
+    def packed_key(exponents: Monomial) -> int:
+        """The packed key of an exponent tuple.
+
+        Keys add as their exponents do, so a tally can shift a whole term
+        map by one monomial with one integer addition per term:
+
+        >>> key = MultiPoly.packed_key((1, 0, 2, 0)) + MultiPoly.packed_key((0, 1, 0, 3))
+        >>> MultiPoly.from_packed({key: 5})
+        MultiPoly('5*q*p*s^2*t^3')
+        """
+        return _pack(exponents)
+
+    @classmethod
+    def from_packed(cls, terms: Mapping[int, int]) -> "MultiPoly":
+        """The polynomial with the given packed-key -> coefficient map."""
+        cleaned = {key: coeff for key, coeff in terms.items() if coeff}
+        if cleaned and (
+            min(cleaned) < 0 or max(cleaned) >= _KEY_LIMIT or reduce(or_, cleaned) & _GUARDS
+        ):
+            raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
+        return _wrap(cleaned)
+
     # -- inspection ----------------------------------------------------
 
     def terms(self) -> dict[Monomial, int]:
         """A copy of the term map (monomial -> coefficient)."""
-        return dict(self._terms)
+        return {_unpack(key): coeff for key, coeff in self._terms.items()}
 
     def coefficient(self, exponents: Monomial) -> int:
-        return self._terms.get(tuple(exponents), 0)
+        try:
+            key = _pack(exponents)
+        except ValueError:
+            return 0  # no stored term has such an exponent tuple
+        return self._terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -93,23 +164,21 @@ class MultiPoly:
         """
         if not self._terms:
             return 0
-        if set(self._terms) != {_UNIT}:
+        if set(self._terms) != {0}:
             raise ValueError(f"{self} is not constant")
-        return self._terms[_UNIT]
+        return self._terms[0]
 
     def split_by_exponent(self, name: str) -> dict[int, "MultiPoly"]:
         """Group terms by the exponent of one variable, removing it.
 
         Returns a map exponent -> polynomial in the remaining variables.
         """
-        index = VARIABLES.index(name)
-        layers: dict[int, dict[Monomial, int]] = {}
-        for mono, coeff in self._terms.items():
-            reduced = list(mono)
-            power = reduced[index]
-            reduced[index] = 0
-            layers.setdefault(power, {})[tuple(reduced)] = coeff
-        return {power: MultiPoly(t) for power, t in sorted(layers.items())}
+        shift = _SHIFTS[VARIABLES.index(name)]
+        keep = ~(_FIELD_MASK << shift)
+        layers: dict[int, dict[int, int]] = {}
+        for key, coeff in self._terms.items():
+            layers.setdefault(key >> shift & _FIELD_MASK, {})[key & keep] = coeff
+        return {power: _wrap(t) for power, t in sorted(layers.items())}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -126,22 +195,18 @@ class MultiPoly:
         if rhs is None:
             return NotImplemented
         result = dict(self._terms)
-        for mono, coeff in rhs._terms.items():
-            total = result.get(mono, 0) + coeff
+        for key, coeff in rhs._terms.items():
+            total = result.get(key, 0) + coeff
             if total:
-                result[mono] = total
+                result[key] = total
             else:
-                result.pop(mono, None)
-        poly = MultiPoly.__new__(MultiPoly)
-        poly._terms = result
-        return poly
+                result.pop(key, None)
+        return _wrap(result)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        poly = MultiPoly.__new__(MultiPoly)
-        poly._terms = {mono: -coeff for mono, coeff in self._terms.items()}
-        return poly
+        return _wrap({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         rhs = self._coerce(other)
@@ -159,18 +224,23 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        result: dict[Monomial, int] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in rhs._terms.items():
-                mono = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2], ma[3] + mb[3])
-                total = result.get(mono, 0) + ca * cb
+        # the longer operand in the inner loop: fewer loop set-ups
+        small, big = sorted((self._terms, rhs._terms), key=len)
+        big_items = big.items()
+        result: dict[int, int] = {}
+        for kb, cb in small.items():
+            for ka, ca in big_items:
+                key = ka + kb
+                total = result.get(key, 0) + ca * cb
                 if total:
-                    result[mono] = total
+                    result[key] = total
                 else:
-                    del result[mono]
-        poly = MultiPoly.__new__(MultiPoly)
-        poly._terms = result
-        return poly
+                    del result[key]
+        # Operand fields are below EXPONENT_LIMIT, so each field of a sum
+        # stays below twice that: it sets its guard bit, never the next field.
+        if result and reduce(or_, result) & _GUARDS:
+            raise ValueError(f"a product exponent does not fit below {EXPONENT_LIMIT}")
+        return _wrap(result)
 
     __rmul__ = __mul__
 
@@ -195,29 +265,28 @@ class MultiPoly:
         >>> str((Q**3 * P * S * T**2).substitute({"q": -1}))
         '-p*s*t^2'
         """
-        indices = []
+        fields = []
+        keep = -1
         for name, value in assignment.items():
             if name not in VARIABLES:
                 raise ValueError(f"unknown variable {name!r}")
             if not isinstance(value, int):
                 raise TypeError(f"substitution value {value!r} is not an integer")
-            indices.append((VARIABLES.index(name), value))
-        result: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            reduced = list(mono)
+            shift = _SHIFTS[VARIABLES.index(name)]
+            fields.append((shift, value))
+            keep &= ~(_FIELD_MASK << shift)
+        result: dict[int, int] = {}
+        for key, coeff in self._terms.items():
             factor = coeff
-            for index, value in indices:
-                factor *= value ** reduced[index]
-                reduced[index] = 0
-            key = tuple(reduced)
-            total = result.get(key, 0) + factor
+            for shift, value in fields:
+                factor *= value ** (key >> shift & _FIELD_MASK)
+            reduced = key & keep
+            total = result.get(reduced, 0) + factor
             if total:
-                result[key] = total
+                result[reduced] = total
             else:
-                result.pop(key, None)
-        poly = MultiPoly.__new__(MultiPoly)
-        poly._terms = result
-        return poly
+                result.pop(reduced, None)
+        return _wrap(result)
 
     # -- comparison and rendering ---------------------------------------
 
@@ -232,7 +301,8 @@ class MultiPoly:
         return bool(self._terms)
 
     def __iter__(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(sorted(self._terms.items(), reverse=True))
+        for key, coeff in sorted(self._terms.items(), reverse=True):
+            yield _unpack(key), coeff
 
     def __str__(self) -> str:
         if not self._terms:

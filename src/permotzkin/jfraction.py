@@ -8,8 +8,13 @@ fraction
 whose z^n coefficient is the sum, over plain Motzkin paths of length n, of
 the product of gamma_h per horizontal step at height h and lambda_h per
 down step from height h.  ``expand`` computes the truncation by dynamic
-programming over (length, running height) with exact polynomial arithmetic;
-steps above height floor(order / 2) cannot return in time and are skipped.
+programming over (length, running height) with exact polynomial arithmetic.
+A path at height h with fewer than h steps left can never return to 0, so
+after step k only the heights h <= order - k are kept: the gamma_h product is
+skipped when h exceeds the steps left, and so is the up step when h + 1
+does.  After step k the DP therefore holds at most min(k, order - k) + 1
+heights, and every coefficient is exactly the full path sum.  Each spec
+carries its own ``max_order``, set from the measured cost of its expansion.
 
 Two coefficient presets are built in:
 
@@ -29,16 +34,25 @@ signed or specialised sum over S_n in the package is a substitution into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
-from .algebra import Monomial, MultiPoly, P, Q, S, T, q_integer
+from .algebra import MultiPoly, P, Q, S, T, q_integer
 from .errors import SizeLimitError
 
-#: Series expansion is refused beyond this order.
+#: Series expansion of a spec without its own bound is refused beyond this
+#: order.
 EXPANSION_ORDER_LIMIT = 30
 
+#: ``preset_refined`` is refused beyond this order.  ``expand --preset
+#: refined --order 22`` takes 21 s and 450 MB peak on a 2-vCPU guest under
+#: CPython 3.11; each +2 orders costs about 3x the time and 2x the memory,
+#: so order 24 would take over a minute.  ``preset_depth`` reaches the
+#: default bound in 0.1 s.
+REFINED_ORDER_LIMIT = 22
+
 #: Sums over S_n are refused beyond this size.
-BRUTE_FORCE_LIMIT = 10
+BRUTE_FORCE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,8 @@ class JFractionSpec:
 
     gamma: Callable[[int], MultiPoly]
     lam: Callable[[int], MultiPoly]
+    #: ``expand`` refuses orders beyond this.
+    max_order: int = EXPANSION_ORDER_LIMIT
 
 
 @dataclass(frozen=True)
@@ -66,21 +82,22 @@ def expand(spec: JFractionSpec, order: int) -> SeriesTable:
     """Series coefficients of the continued fraction through z^order."""
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    if order > EXPANSION_ORDER_LIMIT:
-        raise SizeLimitError(f"expansion is limited to order <= {EXPANSION_ORDER_LIMIT}")
+    if order > spec.max_order:
+        raise SizeLimitError(f"expansion is limited to order <= {spec.max_order}")
     max_height = order // 2
     gamma = [spec.gamma(h) for h in range(max_height + 1)]
     lam = [MultiPoly.zero()] + [spec.lam(h) for h in range(1, max_height + 1)]
 
     coeffs = [MultiPoly.one()]
     state = {0: MultiPoly.one()}  # running height -> sum of prefix products
-    for _ in range(order):
+    for left in reversed(range(order)):  # steps left after this one
         nxt: dict[int, MultiPoly] = {}
         for height, poly in state.items():
-            stay = poly * gamma[height]
-            if stay:
-                nxt[height] = nxt.get(height, MultiPoly.zero()) + stay
-            if height + 1 <= max_height:
+            if height <= left:
+                stay = poly * gamma[height]
+                if stay:
+                    nxt[height] = nxt.get(height, MultiPoly.zero()) + stay
+            if height + 1 <= left:
                 nxt[height + 1] = nxt.get(height + 1, MultiPoly.zero()) + poly
             if height >= 1:
                 down = poly * lam[height]
@@ -105,6 +122,7 @@ def preset_refined() -> JFractionSpec:
     return JFractionSpec(
         gamma=lambda h: ((1 + S) * q_integer(h) + P * Q**h) * qt**h,
         lam=lambda h: S * q_integer(h) ** 2 * qt ** (2 * h - 1),
+        max_order=REFINED_ORDER_LIMIT,
     )
 
 
@@ -112,11 +130,13 @@ def brute_force_gf(n: int) -> MultiPoly:
     """sum over S_n of q^inv p^fix s^exc t^depth, tallied by a subset DP.
 
     Values are placed at positions 1..n in turn; a state is the set of values
-    used so far, and it maps exponent tuples to counts.  Placing v at
-    position i adds the number of used values above v to inv, [v = i] to
-    fix, [v > i] to exc and max(v - i, 0) to depth.  These increments depend
-    only on the set and on v (i is one more than the set's size), so all
-    prefixes with the same set of values can share one state.
+    used so far, and it maps packed exponent keys (``MultiPoly.packed_key``)
+    to counts.  Placing v at position i adds the number of used values above
+    v to inv, [v = i] to fix, [v > i] to exc and max(v - i, 0) to depth, one
+    key addition per term.  These increments depend only on the set and on v
+    (i is one more than the set's size), so all prefixes with the same set
+    of values can share one state.  Each n is tallied once per process; the
+    result is immutable and shared by every caller.
 
     >>> str(brute_force_gf(2))
     'q*s*t + p^2'
@@ -125,22 +145,28 @@ def brute_force_gf(n: int) -> MultiPoly:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(f"brute force is limited to n <= {BRUTE_FORCE_LIMIT}")
-    states: dict[int, dict[Monomial, int]] = {0: {(0, 0, 0, 0): 1}}
+    return _subset_tally(n)
+
+
+@lru_cache(maxsize=None)
+def _subset_tally(n: int) -> MultiPoly:
+    states: dict[int, dict[int, int]] = {0: {0: 1}}  # used set -> packed key -> count
     for i in range(1, n + 1):
-        nxt: dict[int, dict[Monomial, int]] = {}
+        nxt: dict[int, dict[int, int]] = {}
         for used, tally in states.items():
             for v in range(1, n + 1):
                 bit = 1 << (v - 1)
                 if used & bit:
                     continue
-                above = (used >> v).bit_count()
-                fixed, exceeds, rise = int(v == i), int(v > i), max(v - i, 0)
+                step = MultiPoly.packed_key(
+                    ((used >> v).bit_count(), int(v == i), int(v > i), max(v - i, 0))
+                )
                 target = nxt.setdefault(used | bit, {})
-                for (inv, fix, exc, dep), count in tally.items():
-                    key = (inv + above, fix + fixed, exc + exceeds, dep + rise)
+                for key, count in tally.items():
+                    key += step
                     target[key] = target.get(key, 0) + count
         states = nxt
-    return MultiPoly(states[(1 << n) - 1])
+    return MultiPoly.from_packed(states[(1 << n) - 1])
 
 
 def brute_force_depth_gf(n: int) -> MultiPoly:

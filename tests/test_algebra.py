@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permotzkin.algebra import MultiPoly, P, Q, S, T, binomial, q_integer
+from permotzkin.algebra import EXPONENT_LIMIT, VARIABLES, MultiPoly, P, Q, S, T, binomial, q_integer
 from permotzkin.permutations import depth, iter_group
 
 exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
@@ -139,3 +139,109 @@ def test_split_by_exponent_layers():
     assert layers[1] == S + 3 * S**2
     assert layers[2] == MultiPoly.constant(-1)
     assert set(layers) == {1, 2}
+
+
+# -- a tuple-keyed reference, sharing no code with the packed kernel ----------
+
+# small exponents collide often; large ones fill the fields, and any two of
+# them still multiply below EXPONENT_LIMIT
+wide_exponents = st.tuples(
+    *[st.integers(min_value=0, max_value=3) | st.integers(0, EXPONENT_LIMIT // 2 - 1)] * 4
+)
+term_maps = st.dictionaries(wide_exponents, st.integers(min_value=-5, max_value=5), max_size=6)
+# values of modulus at most 1 keep q^(EXPONENT_LIMIT // 2) small
+assignments = st.dictionaries(st.sampled_from(VARIABLES), st.integers(min_value=-1, max_value=1))
+
+
+def ref_nonzero(terms):
+    return {mono: coeff for mono, coeff in terms.items() if coeff}
+
+
+def ref_add(a, b):
+    total = dict(a)
+    for mono, coeff in b.items():
+        total[mono] = total.get(mono, 0) + coeff
+    return ref_nonzero(total)
+
+
+def ref_mul(a, b):
+    total = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            total[mono] = total.get(mono, 0) + ca * cb
+    return ref_nonzero(total)
+
+
+def ref_substitute(a, assignment):
+    total = {}
+    for mono, coeff in a.items():
+        reduced = list(mono)
+        for index, name in enumerate(VARIABLES):
+            if name in assignment:
+                coeff *= assignment[name] ** mono[index]
+                reduced[index] = 0
+        total[tuple(reduced)] = total.get(tuple(reduced), 0) + coeff
+    return ref_nonzero(total)
+
+
+def ref_str(a):
+    chunks = []
+    for mono, coeff in sorted(a.items(), reverse=True):
+        factors = [f"{name}^{e}" if e > 1 else name for name, e in zip(VARIABLES, mono) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        if chunks:
+            chunks.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+        else:
+            chunks.append(("-" if coeff < 0 else "") + "*".join(factors))
+    return " ".join(chunks) or "0"
+
+
+def assert_matches(poly, reference):
+    assert poly.terms() == reference
+    assert list(poly) == sorted(reference.items(), reverse=True)
+    assert str(poly) == ref_str(reference)
+    for mono, coeff in reference.items():
+        assert poly.coefficient(mono) == coeff
+
+
+@given(term_maps, term_maps, assignments)
+def test_operations_agree_with_a_tuple_keyed_reference(a, b, assignment):
+    pa, pb = MultiPoly(a), MultiPoly(b)
+    a, b = ref_nonzero(a), ref_nonzero(b)
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b))
+    assert_matches(pa - pb, ref_add(a, {mono: -coeff for mono, coeff in b.items()}))
+    assert_matches(pa * pb, ref_mul(a, b))
+    assert_matches(pa.substitute(assignment), ref_substitute(a, assignment))
+
+
+def test_exponent_bound_is_enforced_in_the_constructor():
+    for index in range(4):
+        mono = tuple(EXPONENT_LIMIT if i == index else 0 for i in range(4))
+        with pytest.raises(ValueError):
+            MultiPoly({mono: 1})
+        with pytest.raises(ValueError):
+            MultiPoly.monomial(mono)
+        assert MultiPoly.one().coefficient(mono) == 0
+    with pytest.raises(ValueError):
+        MultiPoly.monomial((-1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        MultiPoly.from_packed({-1: 1})
+
+
+def test_exponent_overflow_in_a_product_raises_instead_of_carrying():
+    top = EXPONENT_LIMIT - 1
+    for index, variable in enumerate((Q, P, S, T)):
+        mono = tuple(top if i == index else 0 for i in range(4))
+        full = MultiPoly.monomial(mono)
+        with pytest.raises(ValueError):
+            full * variable
+        with pytest.raises(ValueError):
+            variable * (full + 1)
+        with pytest.raises(ValueError):
+            full**2
+    # the largest exponent still fits, next to full neighbouring fields
+    edge = MultiPoly.monomial((top - 1, top, top - 1, top))
+    assert (edge * Q * S).terms() == {(top, top, top, top): 1}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from permotzkin import cli, verify
 from permotzkin.cli import main
+from permotzkin.jfraction import REFINED_ORDER_LIMIT
 from permotzkin.permutations import Permutation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -100,6 +102,28 @@ def test_expand_guard_exit_code(capsys):
     code, _, err = run(capsys, "expand", "--preset", "depth", "--order", "40")
     assert code == 2
     assert "limited" in err
+
+
+def test_expand_refined_guard_exit_code(capsys):
+    code, out, err = run(
+        capsys, "expand", "--preset", "refined", "--order", str(REFINED_ORDER_LIMIT + 1)
+    )
+    assert code == 2
+    assert out == ""
+    assert "limited" in err
+
+
+def test_expand_refined_order_14_bytes(capsys):
+    # The digest is perfbench/workloads.py::EXPAND_SHA256, the output of the
+    # same command at the commit that defined the benchmark.
+    code, out, _ = run(
+        capsys, "expand", "--preset", "refined", "--order", "14", "--format", "json"
+    )
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "87a87e2dd19449698cf3c073c4d167cb60624da33106b98be4ae594e8e7284c1"
+    )
 
 
 def test_imbalance(capsys):

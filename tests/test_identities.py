@@ -31,7 +31,7 @@ def test_signed_gf_rejects_zero():
     with pytest.raises(ValueError):
         signed_gf_permutations(0)
     with pytest.raises(SizeLimitError):
-        signed_gf_permutations(11)
+        signed_gf_permutations(13)
 
 
 def test_derangement_gf_initial_values():

@@ -51,7 +51,7 @@ def test_sign_imbalance_exc_values(n, expected):
 
 def test_sign_imbalance_guard():
     with pytest.raises(SizeLimitError):
-        sign_imbalance_depth(11)
+        sign_imbalance_depth(13)
 
 
 def test_involution_on_singleton():

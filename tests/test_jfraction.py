@@ -7,6 +7,8 @@ import pytest
 from permotzkin.algebra import MultiPoly, P, Q, S, T
 from permotzkin.errors import SizeLimitError
 from permotzkin.jfraction import (
+    EXPANSION_ORDER_LIMIT,
+    REFINED_ORDER_LIMIT,
     JFractionSpec,
     brute_force_depth_gf,
     brute_force_gf,
@@ -20,6 +22,33 @@ from permotzkin.permutations import image_stats
 def reference_tally(n):
     """sum over S_n of q^inv p^fix s^exc t^depth, one permutation at a time."""
     return MultiPoly(Counter(map(image_stats, itertools.permutations(range(1, n + 1)))))
+
+
+def motzkin_paths(n, height=0):
+    """Every path of n steps from ``height`` to height 0 that never goes
+    below 0, as a tuple of (kind, height before the step)."""
+    if n == 0:
+        if height == 0:
+            yield ()
+        return
+    for kind, after in (("H", height), ("U", height + 1), ("D", height - 1)):
+        if after >= 0:
+            for rest in motzkin_paths(n - 1, after):
+                yield ((kind, height),) + rest
+
+
+def path_sum(spec, n):
+    """The z^n coefficient of the continued fraction, one path at a time."""
+    total = MultiPoly.zero()
+    for path in motzkin_paths(n):
+        weight = MultiPoly.one()
+        for kind, height in path:
+            if kind == "H":
+                weight = weight * spec.gamma(height)
+            elif kind == "D":
+                weight = weight * spec.lam(height)
+        total = total + weight
+    return total
 
 
 def test_depth_preset_coefficients():
@@ -46,6 +75,24 @@ def test_expansion_head_is_generic():
     assert series[2] == gamma0 * gamma0 + S
 
 
+def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch):
+    order = 9
+    gammas = [(h + 2) * Q**h + P for h in range(order)]
+    lams = [MultiPoly.zero()] + [(2 * h + 1) * S * T**h for h in range(1, order)]
+    spec = JFractionSpec(gamma=gammas.__getitem__, lam=lams.__getitem__)
+    products = []
+    multiply = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(b) or multiply(a, b))
+    expand(spec, order)
+    # Before step k the path is at a height h <= min(k - 1, order - k + 1).
+    # With order - k steps left after it, the step may stay at h only when
+    # h <= order - k, and may go down from any h >= 1.
+    expected = sum(
+        (min(k - 1, order - k) + 1) + min(k - 1, order - k + 1) for k in range(1, order + 1)
+    )
+    assert len(products) == expected
+
+
 def test_depth_preset_order_three():
     series = expand(preset_depth(), 3)
     assert series[3] == 1 + 2 * T + 3 * T**2
@@ -58,9 +105,22 @@ def test_depth_preset_matches_brute_force():
 
 
 def test_refined_preset_matches_brute_force():
-    series = expand(preset_refined(), 5)
-    for n in range(6):
+    series = expand(preset_refined(), 10)
+    for n in range(11):
         assert series[n] == brute_force_gf(n)
+
+
+def test_expansion_matches_the_path_sum_of_a_generic_spec():
+    # distinct nonzero coefficients at every height, so that a product taken
+    # at the wrong height, or a path dropped or counted twice, shows
+    spec = JFractionSpec(
+        gamma=lambda h: (h + 2) * Q**h + P,
+        lam=lambda h: (2 * h + 1) * S * T**h,
+    )
+    series = expand(spec, 9)
+    assert len(series) == 10
+    for n in range(10):
+        assert series[n] == path_sum(spec, n)
 
 
 def test_refined_series_counts_permutations_at_ones():
@@ -80,6 +140,12 @@ def test_truncation_is_monotone():
 def test_expand_guard():
     with pytest.raises(SizeLimitError):
         expand(preset_depth(), 31)
+    with pytest.raises(SizeLimitError):
+        expand(preset_refined(), REFINED_ORDER_LIMIT + 1)
+    custom = JFractionSpec(gamma=lambda h: MultiPoly.one(), lam=lambda h: MultiPoly.one())
+    assert custom.max_order == preset_depth().max_order == EXPANSION_ORDER_LIMIT == 30
+    with pytest.raises(SizeLimitError):
+        expand(custom, 31)
     with pytest.raises(ValueError):
         expand(preset_depth(), -1)
 
@@ -101,8 +167,12 @@ def test_brute_force_depth_agrees_with_full_sum():
         assert brute_force_depth_gf(n) == reference_tally(n).substitute(ones)
 
 
+def test_brute_force_is_computed_once_per_n():
+    assert brute_force_gf(6) is brute_force_gf(6)
+
+
 def test_brute_force_guards():
     with pytest.raises(SizeLimitError):
-        brute_force_gf(11)
+        brute_force_gf(13)
     with pytest.raises(SizeLimitError):
-        brute_force_depth_gf(11)
+        brute_force_depth_gf(13)
