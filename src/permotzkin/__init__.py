@@ -34,6 +34,7 @@ from .motzkin import (
     WeightedStep,
     area,
     enumerate_weighted,
+    path_exponents,
     path_weight,
     step_weight,
     validate,
@@ -91,6 +92,7 @@ __all__ = [
     "iter_derangements",
     "iter_group",
     "parity_reversing_involution",
+    "path_exponents",
     "path_weight",
     "preset_depth",
     "preset_refined",

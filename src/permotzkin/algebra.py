@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import or_
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 #: Variable order used everywhere: exponent tuples are (eq, ep, es, et).
 VARIABLES = ("q", "p", "s", "t")
@@ -190,18 +190,34 @@ class MultiPoly:
             return MultiPoly.constant(value)
         return None
 
+    @staticmethod
+    def sum(polys: Iterable["MultiPoly"]) -> "MultiPoly":
+        """The sum of any number of polynomials, merged into one term map.
+
+        The largest operand's map is copied once and the others are added
+        into the copy, so k operands cost one copy rather than k - 1.
+
+        >>> MultiPoly.sum([S, T, -S])
+        MultiPoly('t')
+        """
+        maps = sorted((poly._terms for poly in polys), key=len)
+        if not maps:
+            return MultiPoly.zero()
+        result = dict(maps.pop())
+        for terms in maps:
+            for key, coeff in terms.items():
+                total = result.get(key, 0) + coeff
+                if total:
+                    result[key] = total
+                else:
+                    del result[key]
+        return _wrap(result)
+
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        result = dict(self._terms)
-        for key, coeff in rhs._terms.items():
-            total = result.get(key, 0) + coeff
-            if total:
-                result[key] = total
-            else:
-                result.pop(key, None)
-        return _wrap(result)
+        return MultiPoly.sum((self, rhs))
 
     __radd__ = __add__
 

@@ -30,10 +30,16 @@ weight preservation exhaustively through n = 8.
 
 from __future__ import annotations
 
-from bisect import insort
-
-from .errors import InvalidPathError
-from .motzkin import StepKind, WeightedMotzkinPath, WeightedStep, ensure_valid
+from .motzkin import (
+    KIND_D,
+    KIND_H1,
+    KIND_H2,
+    KIND_H3,
+    KIND_U,
+    WeightedMotzkinPath,
+    _flat_path,
+    ensure_valid,
+)
 from .permutations import Permutation
 
 
@@ -45,97 +51,66 @@ def encode(perm: Permutation) -> WeightedMotzkinPath:
     for i, v in enumerate(images, start=1):
         inverse[v] = i
 
-    kinds: list[StepKind] = []
+    kinds: list[int] = []
     heights: list[int] = []
+    choices = [0] * n
+    stack: list[int] = []  # open U indexes, for level pairing
     running = 0
-    for i in range(1, n + 1):
-        v = images[i - 1]
-        w = inverse[i]
-        if v == i:
-            kinds.append(StepKind.H3)
+    for m in range(1, n + 1):
+        v = images[m - 1]
+        w = inverse[m]
+        if v == m:
+            kinds.append(KIND_H3)
             heights.append(running)
-        elif v > i and w > i:
+            continue
+        if v > m and w > m:
             running += 1
-            kinds.append(StepKind.U)
+            kinds.append(KIND_U)
             heights.append(running)
-        elif v < i and w < i:
-            kinds.append(StepKind.D)
+            stack.append(m - 1)
+            continue
+        if v < m and w < m:
+            kinds.append(KIND_D)
             heights.append(running)
             running -= 1
-        elif v > i:  # w < i
-            kinds.append(StepKind.H1)
+        else:
+            kinds.append(KIND_H1 if v > m else KIND_H2)
             heights.append(running)
-        else:  # v < i < w
-            kinds.append(StepKind.H2)
-            heights.append(running)
-
-    choices = [0] * n
-    stack: list[int] = []  # open U positions, for level pairing
-    for m in range(1, n + 1):
-        kind = kinds[m - 1]
-        if kind is StepKind.U:
-            stack.append(m)
-            continue
-        if kind in (StepKind.D, StepKind.H1):
-            opener = inverse[m]
-            choices[m - 1] = sum(
-                1 for k in range(1, opener) if images[k - 1] > m
-            )
-        if kind in (StepKind.D, StepKind.H2):
-            endpoint = images[m - 1]
-            in_rank = sum(
-                1 for c in range(1, endpoint) if inverse[c] > m
-            )
-            if kind is StepKind.D:
-                choices[stack.pop() - 1] = in_rank
+        if w < m:  # D or H1: rank of the opener among the out-arcs open at m
+            choices[m - 1] = sum(1 for k in range(1, w) if images[k - 1] > m)
+        if v < m:  # D or H2: rank of the endpoint among the in-arcs open at m
+            in_rank = sum(1 for c in range(1, v) if inverse[c] > m)
+            if w < m:
+                choices[stack.pop()] = in_rank
             else:
                 choices[m - 1] = in_rank
 
-    steps = tuple(
-        WeightedStep(kinds[i], heights[i], choices[i]) for i in range(n)
-    )
-    return WeightedMotzkinPath(steps)
+    return _flat_path(tuple(kinds), tuple(heights), tuple(choices))
 
 
 def decode(path: WeightedMotzkinPath) -> Permutation:
     """Invert :func:`encode`; rejects invalid paths."""
     ensure_valid(path)
-    steps = path.steps
-    n = len(steps)
-
-    # Pair each D with its U; the U's choice is the D's in-arc rank.
-    in_rank = [0] * (n + 1)
-    stack: list[int] = []
-    for m, step in enumerate(steps, start=1):
-        if step.kind is StepKind.U:
-            stack.append(m)
-        elif step.kind is StepKind.D:
-            if not stack:  # unreachable after validation
-                raise InvalidPathError(f"step {m}: unmatched D")
-            in_rank[m] = steps[stack.pop() - 1].choice
-
-    images = [0] * (n + 1)
+    images = [0] * (len(path) + 1)
+    # Positions only grow, so appending keeps these lists sorted.
     open_out: list[int] = []  # positions awaiting their image
     open_in: list[int] = []  # positions awaiting their preimage
-    for m, step in enumerate(steps, start=1):
-        kind = step.kind
-        if kind is StepKind.U:
-            insort(open_out, m)
-            insort(open_in, m)
-        elif kind is StepKind.H3:
+    pending: list[int] = []  # choices of the unmatched U steps: their D's in-arc rank
+    for m, (kind, choice) in enumerate(zip(path.kinds, path.choices), start=1):
+        if kind == KIND_U:
+            open_out.append(m)
+            open_in.append(m)
+            pending.append(choice)
+        elif kind == KIND_H3:
             images[m] = m
-        elif kind is StepKind.H1:
-            opener = open_out.pop(step.choice)
-            images[opener] = m
-            insort(open_out, m)
-        elif kind is StepKind.H2:
-            endpoint = open_in.pop(step.choice)
-            images[m] = endpoint
-            insort(open_in, m)
+        elif kind == KIND_H1:
+            images[open_out.pop(choice)] = m
+            open_out.append(m)
+        elif kind == KIND_H2:
+            images[m] = open_in.pop(choice)
+            open_in.append(m)
         else:  # D
-            opener = open_out.pop(step.choice)
-            images[opener] = m
-            endpoint = open_in.pop(in_rank[m])
-            images[m] = endpoint
+            images[open_out.pop(choice)] = m
+            images[m] = open_in.pop(pending.pop())
 
     return Permutation(tuple(images[1:]))

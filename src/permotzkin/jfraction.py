@@ -91,19 +91,15 @@ def expand(spec: JFractionSpec, order: int) -> SeriesTable:
     coeffs = [MultiPoly.one()]
     state = {0: MultiPoly.one()}  # running height -> sum of prefix products
     for left in reversed(range(order)):  # steps left after this one
-        nxt: dict[int, MultiPoly] = {}
+        parts: dict[int, list[MultiPoly]] = {}  # height -> contributions
         for height, poly in state.items():
             if height <= left:
-                stay = poly * gamma[height]
-                if stay:
-                    nxt[height] = nxt.get(height, MultiPoly.zero()) + stay
+                parts.setdefault(height, []).append(poly * gamma[height])
             if height + 1 <= left:
-                nxt[height + 1] = nxt.get(height + 1, MultiPoly.zero()) + poly
+                parts.setdefault(height + 1, []).append(poly)
             if height >= 1:
-                down = poly * lam[height]
-                if down:
-                    nxt[height - 1] = nxt.get(height - 1, MultiPoly.zero()) + down
-        state = {h: poly for h, poly in nxt.items() if poly}
+                parts.setdefault(height - 1, []).append(poly * lam[height])
+        state = {h: poly for h, polys in parts.items() if (poly := MultiPoly.sum(polys))}
         coeffs.append(state.get(0, MultiPoly.zero()))
     return SeriesTable(tuple(coeffs))
 

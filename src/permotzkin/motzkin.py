@@ -23,6 +23,14 @@ paths of length n.
 Text format: steps separated by spaces, each as ``KIND(height,choice)``,
 e.g. ``U(1,0) H3(1,0) D(1,0)``.  A JSON array of records with fields
 ``kind``/``height``/``choice`` is accepted and produced as well.
+
+Storage: a ``WeightedMotzkinPath`` holds three parallel tuples of ints,
+``kinds`` (codes indexing ``STEP_KINDS``), ``heights`` and ``choices``, so
+equality and hashing compare int tuples.  ``path.steps`` is a read-only view
+that builds ``WeightedStep`` objects on demand; validation, weights, area,
+enumeration and the bijection read and write the tuples directly.  Heights
+are stored rather than derived, so a wrong height in user input is reported
+as such.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .algebra import Monomial, MultiPoly
 from .errors import InvalidPathError, ParseError, SizeLimitError
@@ -50,6 +58,14 @@ class StepKind(enum.Enum):
         return self.value
 
 
+#: ``WeightedMotzkinPath.kinds`` stores indexes into this table.
+STEP_KINDS: tuple[StepKind, ...] = tuple(StepKind)
+KIND_U, KIND_D, KIND_H1, KIND_H2, KIND_H3 = range(len(STEP_KINDS))
+_CODES = {kind: code for code, kind in enumerate(STEP_KINDS)}
+_NAMES = tuple(kind.value for kind in STEP_KINDS)
+_TOKEN = re.compile(r"(U|D|H1|H2|H3)\((\d+),(\d+)\)")
+
+
 @dataclass(frozen=True)
 class WeightedStep:
     kind: StepKind
@@ -57,86 +73,128 @@ class WeightedStep:
     choice: int
 
 
-@dataclass(frozen=True)
 class WeightedMotzkinPath:
-    steps: tuple[WeightedStep, ...]
+    """An immutable path: parallel tuples of kind codes, heights and choices."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, steps: Iterable[WeightedStep]) -> None:
+        steps = tuple(steps)
+        self._flat = (
+            tuple(_CODES[step.kind] for step in steps),
+            tuple(step.height for step in steps),
+            tuple(step.choice for step in steps),
+        )
+
+    @property
+    def kinds(self) -> tuple[int, ...]:
+        """Kind codes, indexes into ``STEP_KINDS``."""
+        return self._flat[0]
+
+    @property
+    def heights(self) -> tuple[int, ...]:
+        return self._flat[1]
+
+    @property
+    def choices(self) -> tuple[int, ...]:
+        return self._flat[2]
+
+    @property
+    def steps(self) -> tuple[WeightedStep, ...]:
+        """The steps as ``WeightedStep`` objects, built on each access."""
+        return tuple(
+            WeightedStep(STEP_KINDS[kind], height, choice)
+            for kind, height, choice in zip(*self._flat)
+        )
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._flat[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedMotzkinPath):
+            return NotImplemented
+        return self._flat == other._flat
+
+    def __hash__(self) -> int:
+        return hash(self._flat)
+
+    def __repr__(self) -> str:
+        return f"WeightedMotzkinPath.from_text({self.to_text()!r})"
 
     @classmethod
     def from_text(cls, text: str) -> "WeightedMotzkinPath":
-        steps = []
+        kinds, heights, choices = [], [], []
         for index, token in enumerate(text.split(), start=1):
-            match = re.fullmatch(r"(U|D|H1|H2|H3)\((\d+),(\d+)\)", token)
+            match = _TOKEN.fullmatch(token)
             if match is None:
                 raise ParseError(f"step {index}: cannot parse {token!r}")
-            steps.append(
-                WeightedStep(StepKind(match.group(1)), int(match.group(2)), int(match.group(3)))
-            )
-        return cls(tuple(steps))
+            kinds.append(_NAMES.index(match.group(1)))
+            heights.append(int(match.group(2)))
+            choices.append(int(match.group(3)))
+        return _flat_path(tuple(kinds), tuple(heights), tuple(choices))
 
     def to_text(self) -> str:
         return " ".join(
-            f"{step.kind.value}({step.height},{step.choice})" for step in self.steps
+            f"{_NAMES[kind]}({height},{choice})" for kind, height, choice in zip(*self._flat)
         )
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "WeightedMotzkinPath":
-        steps = []
+        kinds, heights, choices = [], [], []
         for index, record in enumerate(records, start=1):
             try:
                 kind = StepKind(record["kind"])
-                steps.append(WeightedStep(kind, int(record["height"]), int(record["choice"])))
+                height, choice = int(record["height"]), int(record["choice"])
             except (KeyError, ValueError, TypeError):
                 raise ParseError(f"step {index}: bad record {record!r}") from None
-        return cls(tuple(steps))
+            kinds.append(_CODES[kind])
+            heights.append(height)
+            choices.append(choice)
+        return _flat_path(tuple(kinds), tuple(heights), tuple(choices))
 
     def to_records(self) -> list[dict]:
         return [
-            {"kind": step.kind.value, "height": step.height, "choice": step.choice}
-            for step in self.steps
+            {"kind": _NAMES[kind], "height": height, "choice": choice}
+            for kind, height, choice in zip(*self._flat)
         ]
 
 
-def _step_bounds(step: WeightedStep, running: int) -> tuple[str, int]:
-    """Return ("", new_height) or a diagnostic for a step at running height."""
-    kind, h, choice = step.kind, step.height, step.choice
-    if kind is StepKind.U:
-        if h != running + 1:
-            return f"U height {h} does not match running height {running}", running
-        new = running + 1
-    elif kind is StepKind.D:
-        if running <= 0:
-            return "D step below the x-axis", running
-        if h != running:
-            return f"D height {h} does not match running height {running}", running
-        new = running - 1
-    else:
-        if h != running:
-            return (
-                f"{kind.value} height {h} does not match running height {running}",
-                running,
-            )
-        new = running
-    if kind is StepKind.H3:
-        if choice != 0:
-            return f"H3 choice must be 0, got {choice}", new
-    else:
-        if kind in (StepKind.H1, StepKind.H2) and h < 1:
-            return f"{kind.value} is not allowed at height 0", new
-        if not 0 <= choice <= h - 1:
-            return f"{kind.value} choice {choice} out of range 0..{h - 1}", new
-    return "", new
+def _flat_path(
+    kinds: tuple[int, ...], heights: tuple[int, ...], choices: tuple[int, ...]
+) -> WeightedMotzkinPath:
+    """A path owning three equally long tuples; ``kinds`` holds valid codes."""
+    path = object.__new__(WeightedMotzkinPath)
+    path._flat = (kinds, heights, choices)
+    return path
 
 
 def validate(path: WeightedMotzkinPath) -> tuple[bool, str]:
     """Check all invariants; the diagnostic names the first bad step (1-based)."""
+    kinds, heights, choices = path._flat
     running = 0
-    for index, step in enumerate(path.steps, start=1):
-        problem, running = _step_bounds(step, running)
-        if problem:
-            return False, f"step {index}: {problem}"
+    for index, (kind, h, choice) in enumerate(zip(kinds, heights, choices), start=1):
+        if kind == KIND_U:
+            if h != running + 1:
+                return False, f"step {index}: U height {h} does not match running height {running}"
+            running += 1
+        elif kind == KIND_D:
+            if running <= 0:
+                return False, f"step {index}: D step below the x-axis"
+            if h != running:
+                return False, f"step {index}: D height {h} does not match running height {running}"
+            running -= 1
+        elif h != running:
+            return (
+                False,
+                f"step {index}: {_NAMES[kind]} height {h} does not match running height {running}",
+            )
+        if kind == KIND_H3:
+            if choice != 0:
+                return False, f"step {index}: H3 choice must be 0, got {choice}"
+        elif h < 1:  # U and D heights are >= 1 by now: an H1 or H2 on the axis
+            return False, f"step {index}: {_NAMES[kind]} is not allowed at height 0"
+        elif not 0 <= choice <= h - 1:
+            return False, f"step {index}: {_NAMES[kind]} choice {choice} out of range 0..{h - 1}"
     if running != 0:
         return False, f"path ends at height {running}, not 0"
     return True, "valid"
@@ -184,17 +242,36 @@ def step_weight(step: WeightedStep) -> MultiPoly:
     return MultiPoly.monomial(step_exponents(step))
 
 
+def path_exponents(path: WeightedMotzkinPath) -> Monomial:
+    """Exponents (eq, ep, es, et) of the path weight; rejects invalid paths.
+
+    Sums the menu of ``step_exponents`` over the flat tuples, building no
+    per-step objects.
+    """
+    ensure_valid(path)
+    kinds, heights, choices = path._flat
+    eq = es = et = 0
+    for kind, h, d in zip(kinds, heights, choices):
+        if kind == KIND_U:
+            eq += d
+            es += 1
+            et += 2 * h - 1
+        elif kind == KIND_D:
+            eq += 2 * h - 1 + d
+        elif kind == KIND_H3:
+            eq += 2 * h
+            et += h
+        else:
+            eq += h + d
+            et += h
+            if kind == KIND_H1:
+                es += 1
+    return (eq, kinds.count(KIND_H3), es, et)
+
+
 def path_weight(path: WeightedMotzkinPath) -> MultiPoly:
     """Product of the step weights, always a single monomial."""
-    ensure_valid(path)
-    eq = ep = es = et = 0
-    for step in path.steps:
-        a, b, c, d = step_exponents(step)
-        eq += a
-        ep += b
-        es += c
-        et += d
-    return MultiPoly.monomial((eq, ep, es, et))
+    return MultiPoly.monomial(path_exponents(path))
 
 
 def area(path: WeightedMotzkinPath) -> int:
@@ -204,12 +281,13 @@ def area(path: WeightedMotzkinPath) -> int:
     doubled sum is always even for a closed path.
     """
     ensure_valid(path)
+    kinds, heights, _ = path._flat
     doubled = 0
-    for step in path.steps:
-        if step.kind in (StepKind.U, StepKind.D):
-            doubled += 2 * step.height - 1
+    for kind, h in zip(kinds, heights):
+        if kind == KIND_U or kind == KIND_D:
+            doubled += 2 * h - 1
         else:
-            doubled += 2 * step.height
+            doubled += 2 * h
     if doubled % 2:  # unreachable for a validated closed path
         raise InvalidPathError("doubled area is odd")
     return doubled // 2
@@ -225,39 +303,31 @@ def enumerate_weighted(n: int) -> Iterator[WeightedMotzkinPath]:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > PATH_ENUMERATION_LIMIT:
         raise SizeLimitError(f"path enumeration is limited to n <= {PATH_ENUMERATION_LIMIT}")
+    if n == 0:
+        yield _flat_path((), (), ())
+        return
 
-    prefix: list[WeightedStep] = []
+    # moves[h]: each (kind, height, choice) step open at running height h,
+    # with the running height after it, in enumeration order.
+    moves = [
+        [((KIND_U, h + 1, d), h + 1) for d in range(h + 1)]
+        + [((KIND_D, h, d), h - 1) for d in range(h)]
+        + [((kind, h, d), h) for kind in (KIND_H1, KIND_H2) for d in range(h)]
+        + [((KIND_H3, h, 0), h)]
+        for h in range(n // 2 + 1)
+    ]
+    prefix: list[tuple[int, int, int]] = []
 
     def extend(remaining: int, height: int) -> Iterator[WeightedMotzkinPath]:
-        if remaining == 0:
-            if height == 0:
-                yield WeightedMotzkinPath(tuple(prefix))
-            return
-        if height > remaining:
-            return
-        # U
-        if height + 1 <= remaining - 1:
-            for choice in range(height + 1):
-                prefix.append(WeightedStep(StepKind.U, height + 1, choice))
-                yield from extend(remaining - 1, height + 1)
+        # A step may end at height h only if the h steps back down still fit.
+        left = remaining - 1
+        for step, after in moves[height]:
+            if after <= left:
+                prefix.append(step)
+                if left:
+                    yield from extend(left, after)
+                else:
+                    yield _flat_path(*zip(*prefix))
                 prefix.pop()
-        # D
-        if height >= 1:
-            for choice in range(height):
-                prefix.append(WeightedStep(StepKind.D, height, choice))
-                yield from extend(remaining - 1, height - 1)
-                prefix.pop()
-        # H1, H2 (height >= 1 only)
-        if height >= 1 and height <= remaining - 1:
-            for kind in (StepKind.H1, StepKind.H2):
-                for choice in range(height):
-                    prefix.append(WeightedStep(kind, height, choice))
-                    yield from extend(remaining - 1, height)
-                    prefix.pop()
-        # H3 (any height)
-        if height <= remaining - 1:
-            prefix.append(WeightedStep(StepKind.H3, height, 0))
-            yield from extend(remaining - 1, height)
-            prefix.pop()
 
     yield from extend(n, 0)

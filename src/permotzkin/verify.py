@@ -66,9 +66,7 @@ def _check_bijection(max_n: int) -> list[ReportRecord]:
         seen = set()
         for perm in iter_group(n):
             path = bijection.encode(perm)
-            inv, fix, exc, dep = four_stats(perm)
-            weight = motzkin.path_weight(path)
-            if weight != MultiPoly.monomial((inv, fix, exc, dep)):
+            if motzkin.path_exponents(path) != four_stats(perm):
                 problem = f"weight mismatch at {perm.to_text()!r}"
                 break
             if bijection.decode(path) != perm:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,37 @@ def test_expand_refined_order_14_bytes(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "87a87e2dd19449698cf3c073c4d167cb60624da33106b98be4ae594e8e7284c1"
     )
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The digests below were taken from the same commands before paths were stored
+# as flat int tuples, so the representation change is pinned to the old bytes.
+
+
+def test_verify_max_n_8_bytes(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "8")
+    assert code == 0
+    assert sha256(out) == "de19a6bd4986c0cd7e15dda308059ff20c65e7b425dfb9b83bd370f1bbc3d7f8"
+
+
+def test_encode_and_decode_bytes_at_n_300(capsys):
+    images = list(range(1, 301))
+    random.Random(300).shuffle(images)
+    perm = " ".join(map(str, images))
+    code, text, _ = run(capsys, "encode", perm)
+    assert code == 0
+    assert sha256(text) == "19f346746dae9d88ef4a98b7bb73a0d24f9b1a7dbdddf4571971bb05d6e37064"
+    code, records, _ = run(capsys, "encode", perm, "--format", "json")
+    assert code == 0
+    assert sha256(records) == "1f8aff286a88f847553ba712bf16287c0295714f18276954b58b58a167d878a2"
+    for path in (text, records):
+        code, decoded, _ = run(capsys, "decode", path)
+        assert code == 0
+        assert sha256(decoded) == "f6e99bb8283da5d9b7adc703a2bcd1980f6cf2ba10dfb931aefa7b4198548870"
+        assert decoded == perm + "\n"
 
 
 def test_imbalance(capsys):

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permotzkin.algebra import MultiPoly, P, Q, S, T, q_integer
+from permotzkin.bijection import encode
 from permotzkin.errors import InvalidPathError, ParseError, SizeLimitError
 from permotzkin.motzkin import (
     StepKind,
@@ -10,10 +13,12 @@ from permotzkin.motzkin import (
     WeightedStep,
     area,
     enumerate_weighted,
+    path_exponents,
     path_weight,
     step_weight,
     validate,
 )
+from permotzkin.permutations import Permutation, iter_group
 
 
 def path_of(text: str) -> WeightedMotzkinPath:
@@ -186,3 +191,131 @@ def test_records_roundtrip():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         WeightedMotzkinPath.from_text(text)
+
+
+def reference_validate(steps: list[WeightedStep]) -> tuple[bool, str]:
+    """Step-by-step validation, written against the menu in the module doc."""
+    running = 0
+    for index, step in enumerate(steps, start=1):
+        kind, h, choice = step.kind, step.height, step.choice
+        name = kind.value
+        if kind is StepKind.U:
+            if h != running + 1:
+                return False, f"step {index}: U height {h} does not match running height {running}"
+            running += 1
+        elif kind is StepKind.D:
+            if running <= 0:
+                return False, f"step {index}: D step below the x-axis"
+            if h != running:
+                return False, f"step {index}: D height {h} does not match running height {running}"
+            running -= 1
+        elif h != running:
+            return False, f"step {index}: {name} height {h} does not match running height {running}"
+        if kind is StepKind.H3:
+            if choice != 0:
+                return False, f"step {index}: H3 choice must be 0, got {choice}"
+            continue
+        if kind in (StepKind.H1, StepKind.H2) and h < 1:
+            return False, f"step {index}: {name} is not allowed at height 0"
+        if not 0 <= choice <= h - 1:
+            return False, f"step {index}: {name} choice {choice} out of range 0..{h - 1}"
+    if running != 0:
+        return False, f"path ends at height {running}, not 0"
+    return True, "valid"
+
+
+@st.composite
+def step_sequences(draw) -> list[WeightedStep]:
+    """Well-formed steps, each replaced by an arbitrary one with probability
+    1/4, optionally closed by D steps, so that valid paths occur and the
+    first bad step can fall anywhere.  An arbitrary step has any kind, the
+    consistent height or any in -1..4, and any choice in -1..4."""
+    steps = []
+    running = 0
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            kind = draw(st.sampled_from(list(StepKind)))
+            consistent = running + 1 if kind is StepKind.U else running
+            height = draw(st.one_of(st.just(consistent), st.integers(min_value=-1, max_value=4)))
+            choice = draw(st.integers(min_value=-1, max_value=4))
+        else:
+            kind = draw(st.sampled_from(list(StepKind) if running else [StepKind.U, StepKind.H3]))
+            height = running + 1 if kind is StepKind.U else running
+            choice = 0 if kind is StepKind.H3 else draw(st.integers(0, height - 1))
+        steps.append(WeightedStep(kind, height, choice))
+        running = max(running + {StepKind.U: 1, StepKind.D: -1}.get(kind, 0), 0)
+    if draw(st.booleans()):
+        for height in range(running, 0, -1):
+            steps.append(WeightedStep(StepKind.D, height, draw(st.integers(0, height - 1))))
+    return steps
+
+
+@settings(max_examples=300)
+@given(step_sequences())
+@example([WeightedStep(StepKind.H3, 0, -1)])
+@example([WeightedStep(StepKind.U, 1, 0), WeightedStep(StepKind.D, 1, -1)])
+@example([WeightedStep(StepKind.U, 1, 0), WeightedStep(StepKind.H1, 1, -1)])
+def test_validate_matches_the_step_by_step_reference(steps):
+    path = WeightedMotzkinPath(steps)
+    assert validate(path) == reference_validate(steps)
+
+
+@given(step_sequences())
+def test_steps_and_records_round_trip_exactly(steps):
+    path = WeightedMotzkinPath(steps)
+    assert path.steps == tuple(steps)
+    assert len(path) == len(steps)
+    assert WeightedMotzkinPath(path.steps) == path
+    again = WeightedMotzkinPath.from_records(path.to_records())
+    assert again == path and hash(again) == hash(path)
+    if all(step.height >= 0 and step.choice >= 0 for step in steps):
+        assert WeightedMotzkinPath.from_text(path.to_text()) == path
+
+
+def test_text_round_trip_over_all_paths():
+    for n in range(7):
+        for path in enumerate_weighted(n):
+            text = path.to_text()
+            assert WeightedMotzkinPath.from_text(text) == path
+            assert WeightedMotzkinPath.from_text(text).to_text() == text
+            assert WeightedMotzkinPath(path.steps).to_records() == path.to_records()
+
+
+def test_path_from_steps_equals_the_encoded_path():
+    steps = [
+        WeightedStep(StepKind.U, 1, 0),
+        WeightedStep(StepKind.H3, 1, 0),
+        WeightedStep(StepKind.D, 1, 0),
+    ]
+    encoded = encode(Permutation.from_text("3 2 1"))
+    assert WeightedMotzkinPath(steps) == encoded
+    assert hash(WeightedMotzkinPath(steps)) == hash(encoded)
+    for perm in iter_group(6):
+        encoded = encode(perm)
+        built = WeightedMotzkinPath(
+            WeightedStep(StepKind(record["kind"]), record["height"], record["choice"])
+            for record in encoded.to_records()
+        )
+        assert built == encoded
+        assert hash(built) == hash(encoded)
+        assert {built, encoded} == {encoded}
+
+
+def test_steps_view_is_read_only():
+    path = path_of("U(1,0) D(1,0)")
+    with pytest.raises(AttributeError):
+        path.steps = ()
+    assert path != "U(1,0) D(1,0)"
+    assert repr(path) == "WeightedMotzkinPath.from_text('U(1,0) D(1,0)')"
+
+
+def test_path_exponents_is_the_weight_monomial():
+    for n in range(6):
+        for path in enumerate_weighted(n):
+            eq, ep, es, et = (0, 0, 0, 0)
+            for step in path.steps:
+                a, b, c, d = step_weight(step).terms().popitem()[0]
+                eq, ep, es, et = eq + a, ep + b, es + c, et + d
+            assert path_exponents(path) == (eq, ep, es, et)
+    with pytest.raises(InvalidPathError):
+        path_exponents(path_of("U(1,0)"))
