@@ -17,7 +17,6 @@ import sys
 from . import verify as verify_mod
 from .bijection import decode as decode_path
 from .bijection import encode as encode_perm
-from .errors import InvalidPathError, ParseError, SizeLimitError
 from .involution import parity_reversing_involution, sign_imbalance_depth, sign_imbalance_exc
 from .jfraction import expand, preset_depth, preset_refined
 from .motzkin import WeightedMotzkinPath
@@ -185,10 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, InvalidPathError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SizeLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MultiPoly, S, T, binomial
-from .errors import SizeLimitError
+from .errors import check_size
 from .jfraction import SeriesTable, brute_force_gf
 
 #: Series assembly is refused beyond this order.
@@ -81,10 +81,7 @@ def derangement_series_rhs(order: int) -> SeriesTable:
     Only the pairs (k, i) with k + 1 + i = n and 0 <= i <= k - 1 contribute
     to the coefficient of z^n, so each entry is a finite exact sum.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if order > SERIES_ORDER_LIMIT:
-        raise SizeLimitError(f"series assembly is limited to order <= {SERIES_ORDER_LIMIT}")
+    check_size(order, SERIES_ORDER_LIMIT, "series assembly is", name="order")
     coeffs = []
     for n in range(order + 1):
         total = MultiPoly.zero()

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, check_size
 from .jfraction import BRUTE_FORCE_LIMIT, brute_force_gf
 from .permutations import Permutation, image_stats
 
@@ -83,21 +83,14 @@ def euler_numbers(limit: int) -> EulerTable:
 
 def sign_imbalance_depth(n: int) -> int:
     """sum over S_n of (-1)^depth: E_n for odd n, 0 for even n."""
-    _check_imbalance_size(n)
+    check_size(n, IMBALANCE_LIMIT, "sign imbalance is")
     return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": 1, "t": -1}).constant_value()
 
 
 def sign_imbalance_exc(n: int) -> int:
     """sum over S_n of (-1)^exc: (-1)^((n-1)/2) E_n for odd n, 0 for even n."""
-    _check_imbalance_size(n)
+    check_size(n, IMBALANCE_LIMIT, "sign imbalance is")
     return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": -1, "t": 1}).constant_value()
-
-
-def _check_imbalance_size(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > IMBALANCE_LIMIT:
-        raise SizeLimitError(f"sign imbalance is limited to n <= {IMBALANCE_LIMIT}")
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +126,5 @@ def parity_reversing_involution(perm: Permutation) -> Permutation:
     inv, exc and depth all change by the same delta in {+1, 0, -1}, and
     delta = 0 exactly on fixed points.
     """
-    n = perm.n
-    if n > INVOLUTION_LIMIT:
-        raise SizeLimitError(f"involution tables are limited to n <= {INVOLUTION_LIMIT}")
-    return Permutation(_pairing(n).get(perm.images, perm.images))
+    check_size(perm.n, INVOLUTION_LIMIT, "involution tables are")
+    return Permutation(_pairing(perm.n).get(perm.images, perm.images))

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .algebra import MultiPoly, P, Q, S, T, q_integer
-from .errors import SizeLimitError
+from .errors import check_size
 
 #: Series expansion of a spec without its own bound is refused beyond this
 #: order.
@@ -80,10 +80,7 @@ class SeriesTable:
 
 def expand(spec: JFractionSpec, order: int) -> SeriesTable:
     """Series coefficients of the continued fraction through z^order."""
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if order > spec.max_order:
-        raise SizeLimitError(f"expansion is limited to order <= {spec.max_order}")
+    check_size(order, spec.max_order, "expansion is", name="order")
     max_height = order // 2
     gamma = [spec.gamma(h) for h in range(max_height + 1)]
     lam = [MultiPoly.zero()] + [spec.lam(h) for h in range(1, max_height + 1)]
@@ -137,10 +134,7 @@ def brute_force_gf(n: int) -> MultiPoly:
     >>> str(brute_force_gf(2))
     'q*s*t + p^2'
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(f"brute force is limited to n <= {BRUTE_FORCE_LIMIT}")
+    check_size(n, BRUTE_FORCE_LIMIT, "brute force is")
     return _subset_tally(n)
 
 

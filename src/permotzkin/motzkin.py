@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .algebra import Monomial, MultiPoly
-from .errors import InvalidPathError, ParseError, SizeLimitError
+from .errors import InvalidPathError, ParseError, check_size
 
 #: Exhaustive path enumeration is refused beyond this length.
 PATH_ENUMERATION_LIMIT = 10
@@ -222,23 +222,18 @@ def step_exponents(step: WeightedStep) -> Monomial:
 
 def step_weight(step: WeightedStep) -> MultiPoly:
     """The weight monomial of a single step (see the menu in the module doc)."""
-    if step.kind in (StepKind.U, StepKind.D):
-        if step.height < 1:
-            raise InvalidPathError(f"{step.kind.value} height must be >= 1")
-        if not 0 <= step.choice <= step.height - 1:
-            raise InvalidPathError(
-                f"{step.kind.value} choice {step.choice} out of range 0..{step.height - 1}"
-            )
-    elif step.kind in (StepKind.H1, StepKind.H2):
-        if step.height < 1:
-            raise InvalidPathError(f"{step.kind.value} is not allowed at height 0")
-        if not 0 <= step.choice <= step.height - 1:
-            raise InvalidPathError(
-                f"{step.kind.value} choice {step.choice} out of range 0..{step.height - 1}"
-            )
-    else:
-        if step.height < 0 or step.choice != 0:
+    kind, h, d = step.kind, step.height, step.choice
+    if kind is StepKind.H3:
+        if h < 0 or d != 0:
             raise InvalidPathError(f"bad H3 step {step}")
+    elif h < 1:
+        raise InvalidPathError(
+            f"{kind.value} height must be >= 1"
+            if kind in (StepKind.U, StepKind.D)
+            else f"{kind.value} is not allowed at height 0"
+        )
+    elif not 0 <= d <= h - 1:
+        raise InvalidPathError(f"{kind.value} choice {d} out of range 0..{h - 1}")
     return MultiPoly.monomial(step_exponents(step))
 
 
@@ -277,8 +272,9 @@ def path_weight(path: WeightedMotzkinPath) -> MultiPoly:
 def area(path: WeightedMotzkinPath) -> int:
     """Area between the path and the x-axis, as an exact integer.
 
-    Each step is a trapezoid of area (height_before + height_after) / 2; the
-    doubled sum is always even for a closed path.
+    Each step is a trapezoid of area (height_before + height_after) / 2.  The
+    doubled sum is even: U and D steps, equally many on a closed path, add the
+    odd 2h - 1, and H steps add 2h.
     """
     ensure_valid(path)
     kinds, heights, _ = path._flat
@@ -288,8 +284,6 @@ def area(path: WeightedMotzkinPath) -> int:
             doubled += 2 * h - 1
         else:
             doubled += 2 * h
-    if doubled % 2:  # unreachable for a validated closed path
-        raise InvalidPathError("doubled area is odd")
     return doubled // 2
 
 
@@ -299,10 +293,7 @@ def enumerate_weighted(n: int) -> Iterator[WeightedMotzkinPath]:
     Deterministic order: depth-first by position, trying U, D, H1, H2, H3
     with ascending choice indices.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > PATH_ENUMERATION_LIMIT:
-        raise SizeLimitError(f"path enumeration is limited to n <= {PATH_ENUMERATION_LIMIT}")
+    check_size(n, PATH_ENUMERATION_LIMIT, "path enumeration is")
     if n == 0:
         yield _flat_path((), (), ())
         return

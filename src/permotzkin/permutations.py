@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import ParseError, SizeLimitError
+from .errors import ParseError, check_size
 
 #: Enumerating all of S_n or D_n is refused beyond this size.
 GROUP_ENUMERATION_LIMIT = 12
@@ -167,23 +167,13 @@ def _min_transposition_cost(n: int) -> dict[tuple[int, ...], int]:
 
 def depth_via_factorization(perm: Permutation) -> int:
     """depth recomputed as the minimum total span of a transposition product."""
-    if perm.n > FACTORIZATION_SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"factorization search is limited to n <= {FACTORIZATION_SEARCH_LIMIT}"
-        )
+    check_size(perm.n, FACTORIZATION_SEARCH_LIMIT, "factorization search is")
     return _min_transposition_cost(perm.n)[perm.images]
-
-
-def _check_enumeration_size(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > GROUP_ENUMERATION_LIMIT:
-        raise SizeLimitError(f"enumeration is limited to n <= {GROUP_ENUMERATION_LIMIT}")
 
 
 def iter_group(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order."""
-    _check_enumeration_size(n)
+    check_size(n, GROUP_ENUMERATION_LIMIT, "enumeration is")
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
 
@@ -194,7 +184,7 @@ def iter_derangements(n: int) -> Iterator[Permutation]:
     Backtracks position by position instead of filtering S_n, which prunes
     roughly an e-fold factor of the search space.
     """
-    _check_enumeration_size(n)
+    check_size(n, GROUP_ENUMERATION_LIMIT, "enumeration is")
     used = [False] * (n + 1)
     images: list[int] = []
 

@@ -3,16 +3,24 @@
 Each check replays one family of identities at desk scale and emits one
 record per parameter value.  Everything is exact: a record passes only when
 the expected and computed texts are identical.
+
+``CHECK_TABLE`` is the battery: it maps each check name to a function of
+one n, which returns the expected and computed texts for that n, and to the
+n it covers for a given ``max_n``.  That table is the only place a range is
+written.  One runner times each n, including all the work behind it, and
+builds its ``ReportRecord``; ``CHECKS`` holds one runner per name.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import bijection, identities, involution, jfraction, motzkin
 from .algebra import MultiPoly, P, Q, S, T, q_integer
-from .errors import SizeLimitError
+from .errors import check_size
 from .motzkin import StepKind, WeightedStep
 from .permutations import depth, depth_via_factorization, four_stats, iter_group
 
@@ -46,245 +54,158 @@ class ReportRecord:
         return record
 
 
-def _record(check: str, n: int, expected: str, computed: str, started: float) -> ReportRecord:
-    return ReportRecord(
-        check=check,
-        n=n,
-        expected=expected,
-        computed=computed,
-        status="pass" if expected == computed else "fail",
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+def _bijection(n: int) -> tuple[str, str]:
+    expected = f"bijective onto the {n}! weighted paths, weights preserved"
+    seen = set()
+    for perm in iter_group(n):
+        path = bijection.encode(perm)
+        if motzkin.path_exponents(path) != four_stats(perm):
+            return expected, f"weight mismatch at {perm.to_text()!r}"
+        if bijection.decode(path) != perm:
+            return expected, f"round trip failed at {perm.to_text()!r}"
+        seen.add(path)
+    if seen != set(motzkin.enumerate_weighted(n)):
+        return expected, "image is not the full path set"
+    return expected, expected
 
 
-def _check_bijection(max_n: int) -> list[ReportRecord]:
-    records = []
-    for n in range(min(max_n, 8) + 1):
-        started = time.perf_counter()
-        expected = f"bijective onto the {n}! weighted paths, weights preserved"
-        problem = ""
-        seen = set()
-        for perm in iter_group(n):
-            path = bijection.encode(perm)
-            if motzkin.path_exponents(path) != four_stats(perm):
-                problem = f"weight mismatch at {perm.to_text()!r}"
-                break
-            if bijection.decode(path) != perm:
-                problem = f"round trip failed at {perm.to_text()!r}"
-                break
-            seen.add(path)
-        if not problem:
-            universe = set(motzkin.enumerate_weighted(n))
-            if seen != universe:
-                problem = "image is not the full path set"
-        records.append(_record("bijection", n, expected, problem or expected, started))
-    return records
+def _cardinality(n: int) -> tuple[str, str]:
+    count = sum(1 for _ in motzkin.enumerate_weighted(n))
+    return f"{math.factorial(n)} paths", f"{count} paths"
 
 
-def _check_cardinality(max_n: int) -> list[ReportRecord]:
-    records = []
-    factorial = 1
-    for n in range(min(max_n, 8) + 1):
-        if n:
-            factorial *= n
-        started = time.perf_counter()
-        count = sum(1 for _ in motzkin.enumerate_weighted(n))
-        records.append(
-            _record("cardinality", n, f"{factorial} paths", f"{count} paths", started)
-        )
-    return records
+def _refined_cf(n: int) -> tuple[str, str]:
+    series = jfraction.expand(jfraction.preset_refined(), n)
+    return str(jfraction.brute_force_gf(n)), str(series[n])
 
 
-def _check_refined_cf(max_n: int) -> list[ReportRecord]:
-    order = min(max_n, 8)
-    series = jfraction.expand(jfraction.preset_refined(), order)
-    records = []
-    for n in range(order + 1):
-        started = time.perf_counter()
-        expected = jfraction.brute_force_gf(n)
-        records.append(
-            _record("refined-cf", n, str(expected), str(series[n]), started)
-        )
-    return records
+def _depth_cf(n: int) -> tuple[str, str]:
+    series = jfraction.expand(jfraction.preset_depth(), n)
+    return str(jfraction.brute_force_depth_gf(n)), str(series[n])
 
 
-def _check_depth_cf(max_n: int) -> list[ReportRecord]:
-    series = jfraction.expand(jfraction.preset_depth(), max_n)
-    records = []
-    for n in range(max_n + 1):
-        started = time.perf_counter()
-        expected = jfraction.brute_force_depth_gf(n)
-        records.append(_record("depth-cf", n, str(expected), str(series[n]), started))
-    return records
+def _imbalance_depth(n: int) -> tuple[str, str]:
+    expected = involution.euler_numbers(n)[n] if n % 2 else 0
+    return str(expected), str(involution.sign_imbalance_depth(n))
 
 
-def _imbalance_records(check: str, max_n: int, signed: bool) -> list[ReportRecord]:
-    euler = involution.euler_numbers(max_n)
-    records = []
-    for n in range(1, max_n + 1):
-        started = time.perf_counter()
-        if n % 2 == 0:
-            expected = 0
-        elif signed and ((n - 1) // 2) % 2 == 1:
-            expected = -euler[n]
-        else:
-            expected = euler[n]
-        computed = (
-            involution.sign_imbalance_exc(n) if signed else involution.sign_imbalance_depth(n)
-        )
-        records.append(_record(check, n, str(expected), str(computed), started))
-    return records
+def _imbalance_exc(n: int) -> tuple[str, str]:
+    expected = (-1) ** ((n - 1) // 2) * involution.euler_numbers(n)[n] if n % 2 else 0
+    return str(expected), str(involution.sign_imbalance_exc(n))
 
 
-def _check_imbalance_depth(max_n: int) -> list[ReportRecord]:
-    return _imbalance_records("imbalance-depth", max_n, signed=False)
+def _involution(n: int) -> tuple[str, str]:
+    summary = "involutive, equal deltas in {{1,0,-1}}, {} fixed points".format
+    expected = summary(involution.euler_numbers(n)[n] if n % 2 else 0)
+    fixed = 0
+    for perm in iter_group(n):
+        partner = involution.parity_reversing_involution(perm)
+        if involution.parity_reversing_involution(partner) != perm:
+            return expected, f"not involutive at {perm.to_text()!r}"
+        pi, _, pe, pd = four_stats(perm)
+        qi, _, qe, qd = four_stats(partner)
+        delta = pi - qi
+        if not (delta == pe - qe == pd - qd and delta in (-1, 0, 1)):
+            return expected, f"delta law broken at {perm.to_text()!r}"
+        if (delta == 0) != (partner == perm):
+            return expected, f"delta/fixed mismatch at {perm.to_text()!r}"
+        if partner == perm:
+            fixed += 1
+    return expected, summary(fixed)
 
 
-def _check_imbalance_exc(max_n: int) -> list[ReportRecord]:
-    return _imbalance_records("imbalance-exc", max_n, signed=True)
+def _signed_gf(n: int) -> tuple[str, str]:
+    expected = (MultiPoly.one() - S * T) ** (n - 1)
+    return str(expected), str(identities.signed_gf_permutations(n))
 
 
-def _check_involution(max_n: int) -> list[ReportRecord]:
-    euler = involution.euler_numbers(min(max_n, 8))
-    records = []
-    for n in range(1, min(max_n, 8) + 1):
-        started = time.perf_counter()
-        expected = (
-            f"involutive, equal deltas in {{1,0,-1}}, "
-            f"{euler[n] if n % 2 else 0} fixed points"
-        )
-        problem = ""
-        fixed = 0
-        for perm in iter_group(n):
-            partner = involution.parity_reversing_involution(perm)
-            if involution.parity_reversing_involution(partner) != perm:
-                problem = f"not involutive at {perm.to_text()!r}"
-                break
-            pi, _, pe, pd = four_stats(perm)
-            qi, _, qe, qd = four_stats(partner)
-            delta = pi - qi
-            if not (delta == pe - qe == pd - qd and delta in (-1, 0, 1)):
-                problem = f"delta law broken at {perm.to_text()!r}"
-                break
-            if (delta == 0) != (partner == perm):
-                problem = f"delta/fixed mismatch at {perm.to_text()!r}"
-                break
-            if partner == perm:
-                fixed += 1
-        computed = problem or (
-            f"involutive, equal deltas in {{1,0,-1}}, {fixed} fixed points"
-        )
-        records.append(_record("involution", n, expected, computed, started))
-    return records
+def _derangement_series(n: int) -> tuple[str, str]:
+    expected = identities.derangement_series_rhs(n)[n]
+    return str(expected), str(identities.derangement_signed_gf(n))
 
 
-def _check_signed_gf(max_n: int) -> list[ReportRecord]:
-    records = []
-    for n in range(1, max_n + 1):
-        started = time.perf_counter()
-        expected = (MultiPoly.one() - S * T) ** (n - 1)
-        computed = identities.signed_gf_permutations(n)
-        records.append(_record("signed-gf", n, str(expected), str(computed), started))
-    return records
+def _derangement_table(n: int) -> tuple[str, str]:
+    row = [cell for cell in identities.derangement_table_report() if cell.n == n]
+    expected = f"{len(row)} cells match"
+    for cell in row:
+        if not cell.matches:
+            return expected, f"t^{cell.t_power}: expected {cell.expected}, got {cell.computed}"
+    return expected, expected
 
 
-def _check_derangement_series(max_n: int) -> list[ReportRecord]:
-    series = identities.derangement_series_rhs(max_n)
-    records = []
-    for n in range(1, max_n + 1):
-        started = time.perf_counter()
-        computed = identities.derangement_signed_gf(n)
-        records.append(
-            _record("derangement-series", n, str(series[n]), str(computed), started)
-        )
-    return records
+def _level_weights(h: int) -> tuple[str, str]:
+    expected = "step sums match the level coefficients"
+    mismatch = f"mismatch at height {h}"
 
+    def weights(kind: StepKind) -> MultiPoly:
+        return MultiPoly.sum(motzkin.step_weight(WeightedStep(kind, h, d)) for d in range(h))
 
-def _check_derangement_table(max_n: int) -> list[ReportRecord]:
-    del max_n  # the anchor table always spans n = 2..9
-    cells = identities.derangement_table_report()
-    records = []
-    for n in identities.TABLE_RANGE:
-        started = time.perf_counter()
-        row = [cell for cell in cells if cell.n == n]
-        bad = [cell for cell in row if not cell.matches]
-        expected = f"{len(row)} cells match"
-        if bad:
-            cell = bad[0]
-            computed = (
-                f"t^{cell.t_power}: expected {cell.expected}, got {cell.computed}"
-            )
-        else:
-            computed = expected
-        records.append(_record("derangement-table", n, expected, computed, started))
-    return records
-
-
-def _check_level_weights(max_n: int) -> list[ReportRecord]:
-    records = []
     qt = Q * T
-    for h in range(min(max_n, 6) + 1):
-        started = time.perf_counter()
-        gamma_sum = MultiPoly.zero()
-        for kind in (StepKind.H1, StepKind.H2):
-            if h >= 1:
-                for d in range(h):
-                    gamma_sum = gamma_sum + motzkin.step_weight(WeightedStep(kind, h, d))
-        gamma_sum = gamma_sum + motzkin.step_weight(WeightedStep(StepKind.H3, h, 0))
-        gamma_formula = ((1 + S) * q_integer(h) + P * Q**h) * qt**h
-        ok = gamma_sum == gamma_formula
-        if h >= 1:
-            up = sum(
-                (motzkin.step_weight(WeightedStep(StepKind.U, h, d)) for d in range(h)),
-                MultiPoly.zero(),
-            )
-            down = sum(
-                (motzkin.step_weight(WeightedStep(StepKind.D, h, d)) for d in range(h)),
-                MultiPoly.zero(),
-            )
-            ok = ok and up * down == S * q_integer(h) ** 2 * qt ** (2 * h - 1)
-        expected = "step sums match the level coefficients"
-        computed = expected if ok else f"mismatch at height {h}"
-        records.append(_record("level-weights", h, expected, computed, started))
-    return records
+    gamma_sum = weights(StepKind.H1) + weights(StepKind.H2)
+    gamma_sum = gamma_sum + motzkin.step_weight(WeightedStep(StepKind.H3, h, 0))
+    if gamma_sum != ((1 + S) * q_integer(h) + P * Q**h) * qt**h:
+        return expected, mismatch
+    if h >= 1:
+        lam = weights(StepKind.U) * weights(StepKind.D)
+        if lam != S * q_integer(h) ** 2 * qt ** (2 * h - 1):
+            return expected, mismatch
+    return expected, expected
 
 
-def _check_depth_min_cost(max_n: int) -> list[ReportRecord]:
-    records = []
-    for n in range(min(max_n, 6) + 1):
-        started = time.perf_counter()
-        bad = ""
-        for perm in iter_group(n):
-            if depth_via_factorization(perm) != depth(perm):
-                bad = f"mismatch at {perm.to_text()!r}"
-                break
-        expected = "minimum factorization cost equals depth"
-        records.append(_record("depth-min-cost", n, expected, bad or expected, started))
-    return records
+def _depth_min_cost(n: int) -> tuple[str, str]:
+    expected = "minimum factorization cost equals depth"
+    for perm in iter_group(n):
+        if depth_via_factorization(perm) != depth(perm):
+            return expected, f"mismatch at {perm.to_text()!r}"
+    return expected, expected
 
 
-CHECKS = {
-    "bijection": _check_bijection,
-    "cardinality": _check_cardinality,
-    "refined-cf": _check_refined_cf,
-    "depth-cf": _check_depth_cf,
-    "imbalance-depth": _check_imbalance_depth,
-    "imbalance-exc": _check_imbalance_exc,
-    "involution": _check_involution,
-    "signed-gf": _check_signed_gf,
-    "derangement-series": _check_derangement_series,
-    "derangement-table": _check_derangement_table,
-    "level-weights": _check_level_weights,
-    "depth-min-cost": _check_depth_min_cost,
+def _through(first: int, last: int = VERIFY_LIMIT) -> Callable[[int], range]:
+    """n = first .. last, and none above ``max_n``."""
+    return lambda max_n: range(first, min(last, max_n) + 1)
+
+
+#: name -> (the check of one n, returning its expected and computed texts;
+#: the n it covers for a given ``max_n``).
+CHECK_TABLE: dict[str, tuple[Callable[[int], tuple[str, str]], Callable[[int], range]]] = {
+    "bijection": (_bijection, _through(0, 8)),
+    "cardinality": (_cardinality, _through(0, 8)),
+    "refined-cf": (_refined_cf, _through(0, 8)),
+    "depth-cf": (_depth_cf, _through(0)),
+    "imbalance-depth": (_imbalance_depth, _through(1)),
+    "imbalance-exc": (_imbalance_exc, _through(1)),
+    "involution": (_involution, _through(1, 8)),
+    "signed-gf": (_signed_gf, _through(1)),
+    "derangement-series": (_derangement_series, _through(1)),
+    "derangement-table": (_derangement_table, lambda max_n: identities.TABLE_RANGE),
+    "level-weights": (_level_weights, _through(0, 6)),
+    "depth-min-cost": (_depth_min_cost, _through(0, 6)),
 }
+
+
+def _runner(name: str) -> Callable[[int], list[ReportRecord]]:
+    """The records of check ``name``, looked up in ``CHECK_TABLE`` per call."""
+
+    def run(max_n: int) -> list[ReportRecord]:
+        check, covers = CHECK_TABLE[name]
+        records = []
+        for n in covers(max_n):
+            started = time.perf_counter()
+            expected, computed = check(n)
+            status = "pass" if expected == computed else "fail"
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            records.append(ReportRecord(name, n, expected, computed, status, elapsed_ms))
+        return records
+
+    return run
+
+
+CHECKS = {name: _runner(name) for name in CHECK_TABLE}
 
 
 def run_checks(names: list[str] | None = None, max_n: int = 6) -> list[ReportRecord]:
     """Run the named checks (all by default) and return sorted records."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be non-negative, got {max_n}")
-    if max_n > VERIFY_LIMIT:
-        raise SizeLimitError(f"verify is limited to max_n <= {VERIFY_LIMIT}")
+    check_size(max_n, VERIFY_LIMIT, "verify is", name="max_n")
     selected = list(CHECKS) if not names else names
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:

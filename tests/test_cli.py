@@ -141,6 +141,22 @@ def test_verify_max_n_8_bytes(capsys):
     assert sha256(out) == "de19a6bd4986c0cd7e15dda308059ff20c65e7b425dfb9b83bd370f1bbc3d7f8"
 
 
+# These digests were taken at the commit before verify ran from one check
+# table, so that rewrite is pinned to the old bytes.
+
+
+def test_verify_max_n_9_json_bytes(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "9", "--format", "json")
+    assert code == 0
+    assert sha256(out) == "21e87608cf2d15bd766bf457c7e893b96996a7bcdbb1be88e48033b4a24e0667"
+
+
+def test_verify_max_n_5_csv_bytes(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--format", "csv")
+    assert code == 0
+    assert sha256(out) == "69c2c9a6ae05bd6d6cb89e9a534ca198eef3cbe3c51b164681742184db319bf7"
+
+
 def test_encode_and_decode_bytes_at_n_300(capsys):
     images = list(range(1, 301))
     random.Random(300).shuffle(images)
