@@ -11,9 +11,9 @@ depth, weighted by (-1)^inv:
       sum_{k>=1} (-1)^k ( sum_{i=0}^{k-1} C(k-1,i) s^(1+i) (1+s)^(k-1-i)
       z^(k+1+i) ) t^k
 
-  whose z^n coefficients must agree with it.  ``derangement_table_report``
-  compares the t-layer decomposition of the computed polynomials against
-  a frozen table of anchor cells, each of the factored form c * s^a * (1+s)^b.
+  whose z^n coefficients must agree with it.  ``derangement_table_row``
+  compares the t-layers of one computed polynomial against a row of frozen
+  anchor cells, each of the factored form c * s^a * (1+s)^b.
 
 Both signed sums are substitutions into the joint distribution
 ``jfraction.brute_force_gf``: q -> -1 turns q^inv into the sign, p -> 1 sums
@@ -138,20 +138,14 @@ class TableCell:
         return self.expected == self.computed
 
 
+def derangement_table_row(n: int) -> list[TableCell]:
+    """Compare the t-layers of the signed derangement polynomial of n
+    against row n of the anchor table, cell for cell."""
+    layers = derangement_signed_gf(n).split_by_exponent("t")
+    powers = sorted(set(layers) | {k for (m, k) in _ANCHOR_CELLS if m == n})
+    return [TableCell(n, k, anchor_cell(n, k), layers.get(k, MultiPoly.zero())) for k in powers]
+
+
 def derangement_table_report() -> list[TableCell]:
-    """Compare the t-layers of the signed derangement polynomials
-    against the anchor table, cell for cell, for n in 2..9."""
-    cells: list[TableCell] = []
-    for n in TABLE_RANGE:
-        layers = derangement_signed_gf(n).split_by_exponent("t")
-        powers = sorted(set(layers) | {k for (m, k) in _ANCHOR_CELLS if m == n})
-        for k in powers:
-            cells.append(
-                TableCell(
-                    n=n,
-                    t_power=k,
-                    expected=anchor_cell(n, k),
-                    computed=layers.get(k, MultiPoly.zero()),
-                )
-            )
-    return cells
+    """Every row of the anchor table, for n in 2..9."""
+    return [cell for n in TABLE_RANGE for cell in derangement_table_row(n)]

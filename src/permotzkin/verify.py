@@ -125,7 +125,7 @@ def _derangement_series(n: int) -> tuple[str, str]:
 
 
 def _derangement_table(n: int) -> tuple[str, str]:
-    row = [cell for cell in identities.derangement_table_report() if cell.n == n]
+    row = identities.derangement_table_row(n)
     expected = f"{len(row)} cells match"
     for cell in row:
         if not cell.matches:

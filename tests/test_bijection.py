@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,100 @@ from permotzkin.bijection import decode, encode
 from permotzkin.errors import InvalidPathError
 from permotzkin.jfraction import brute_force_gf
 from permotzkin.motzkin import (
+    KIND_D,
+    KIND_H1,
+    KIND_H2,
+    KIND_H3,
+    KIND_U,
     StepKind,
     WeightedMotzkinPath,
     enumerate_weighted,
+    path_exponents,
     path_weight,
 )
-from permotzkin.permutations import Permutation, four_stats, iter_group
+from permotzkin.permutations import Permutation, four_stats, image_stats, iter_group
 
 perms = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 ).map(lambda images: Permutation(tuple(images)))
+
+
+def reference_encode(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(kinds, heights, choices) of the path, each rank counted by a scan.
+
+    A closing step's choice is the number of open arcs nested inside the one
+    it closes, counted over every earlier position: O(n^2), and sharing
+    nothing with the sorted open-arc lists of ``encode``.
+    """
+    n = len(images)
+    inverse = [0] * (n + 1)
+    for i, v in enumerate(images, start=1):
+        inverse[v] = i
+    kinds: list[int] = []
+    heights: list[int] = []
+    choices = [0] * n
+    stack: list[int] = []
+    running = 0
+    for m in range(1, n + 1):
+        v = images[m - 1]
+        w = inverse[m]
+        if v == m:
+            kinds.append(KIND_H3)
+            heights.append(running)
+            continue
+        if v > m and w > m:
+            running += 1
+            kinds.append(KIND_U)
+            heights.append(running)
+            stack.append(m - 1)
+            continue
+        if v < m and w < m:
+            kinds.append(KIND_D)
+            heights.append(running)
+            running -= 1
+        else:
+            kinds.append(KIND_H1 if v > m else KIND_H2)
+            heights.append(running)
+        if w < m:
+            choices[m - 1] = sum(1 for k in range(1, w) if images[k - 1] > m)
+        if v < m:
+            in_rank = sum(1 for c in range(1, v) if inverse[c] > m)
+            if w < m:
+                choices[stack.pop()] = in_rank
+            else:
+                choices[m - 1] = in_rank
+    return tuple(kinds), tuple(heights), tuple(choices)
+
+
+def flat(path: WeightedMotzkinPath) -> tuple[tuple[int, ...], ...]:
+    return path.kinds, path.heights, path.choices
+
+
+def random_perm(n: int, seed: str) -> Permutation:
+    images = list(range(1, n + 1))
+    random.Random(seed).shuffle(images)
+    return Permutation(tuple(images))
+
+
+def test_encode_matches_the_scanning_reference_exhaustively():
+    for n in range(8):
+        for images in itertools.permutations(range(1, n + 1)):
+            assert flat(encode(Permutation(images))) == reference_encode(images)
+
+
+@pytest.mark.parametrize("n", [8, 9, 20, 100, 300, 600])
+def test_encode_matches_the_scanning_reference_on_random_permutations(n):
+    for seed in range(5):
+        perm = random_perm(n, f"encode:{n}:{seed}")
+        assert flat(encode(perm)) == reference_encode(perm.images)
+
+
+def test_large_permutation_round_trips_with_its_weight():
+    perm = random_perm(10**5, "encode:100000")
+    path = encode(perm)
+    assert decode(path) == perm
+    # inv reached twice: as the q-exponent of the path, and by image_stats
+    assert path_exponents(path) == image_stats(perm.images)
 
 
 def test_identity_maps_to_ground_path():

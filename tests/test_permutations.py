@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from permotzkin.permutations import (
     exc_count,
     fix_count,
     four_stats,
+    image_stats,
     inv_count,
     is_alternating,
     iter_derangements,
@@ -25,6 +27,42 @@ perms = st.integers(min_value=0, max_value=7).flatmap(
 
 def P(text: str) -> Permutation:
     return Permutation.from_text(text)
+
+
+def merge_inversions(values: list[int]) -> tuple[list[int], int]:
+    """``values`` sorted by merging, and the number of inversions it removed."""
+    if len(values) < 2:
+        return values, 0
+    middle = len(values) // 2
+    left, left_inv = merge_inversions(values[:middle])
+    right, right_inv = merge_inversions(values[middle:])
+    merged: list[int] = []
+    i = j = 0
+    inv = left_inv + right_inv
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            j += 1
+            inv += len(left) - i
+    return merged + left[i:] + right[j:], inv
+
+
+def reference_stats(images: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(inv, fix, exc, depth) by merge sort and a direct scan of the positions."""
+    pairs = list(enumerate(images, start=1))
+    fix = sum(1 for i, v in pairs if v == i)
+    exc = sum(1 for i, v in pairs if v > i)
+    dep = sum(v - i for i, v in pairs if v > i)
+    return merge_inversions(list(images))[1], fix, exc, dep
+
+
+def random_images(n: int, seed: str) -> tuple[int, ...]:
+    images = list(range(1, n + 1))
+    random.Random(seed).shuffle(images)
+    return tuple(images)
 
 
 @pytest.mark.parametrize(
@@ -45,6 +83,29 @@ def test_statistics(text, inv, fix, exc, dep):
     assert exc_count(perm) == exc
     assert depth(perm) == dep
     assert four_stats(perm) == (inv, fix, exc, dep)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 100, 1000, 3000])
+def test_image_stats_matches_a_merge_sort_reference(n):
+    for seed in range(3):
+        images = random_images(n, f"stats:{n}:{seed}")
+        assert image_stats(images) == reference_stats(images)
+
+
+def test_image_stats_of_the_identity_and_the_reversal_at_n_5000():
+    n = 5000
+    identity = tuple(range(1, n + 1))
+    assert image_stats(identity) == reference_stats(identity) == (0, n, 0, 0)
+    reversal = identity[::-1]
+    half = n // 2
+    expected = (n * (n - 1) // 2, 0, half, half * half)
+    assert image_stats(reversal) == reference_stats(reversal) == expected
+
+
+def test_image_stats_counts_strictly_greater_earlier_values():
+    # Not a permutation: a repeated value is no inversion, as for a pairwise count.
+    assert image_stats((2, 2, 1)) == (2, 1, 1, 1)
+    assert image_stats((3, 1, 3, 1)) == (3, 1, 1, 2)
 
 
 def test_derangements_have_no_fixed_points():

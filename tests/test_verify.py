@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from permotzkin import verify
+from permotzkin import identities, verify
 from permotzkin.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -67,6 +67,21 @@ def test_runner_fails_exactly_the_record_whose_texts_differ(capsys, monkeypatch)
         " computed='s^2*t^2 - 2*s*t + 1 + 1'\n" in out
     )
     assert out.endswith("4/5 checks passed\n")
+
+
+def test_derangement_table_computes_each_row_once(monkeypatch):
+    requested = []
+    signed_gf = identities.derangement_signed_gf
+
+    def counting(n):
+        requested.append(n)
+        return signed_gf(n)
+
+    monkeypatch.setattr(identities, "derangement_signed_gf", counting)
+    records = verify.run_checks(["derangement-table"], 0)
+    assert [record.n for record in records] == list(identities.TABLE_RANGE)
+    assert all(record.passed for record in records)
+    assert requested == list(identities.TABLE_RANGE)
 
 
 def test_verify_output_is_the_same_under_python_O():
