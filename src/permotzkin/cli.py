@@ -39,8 +39,13 @@ def _emit_table(rows: list[dict], fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _operand(text: str) -> str:
+    """``text``, or all of stdin when it is ``-`` (no argv size cap)."""
+    return sys.stdin.read() if text == "-" else text
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
-    perm = Permutation.from_text(args.perm)
+    perm = Permutation.from_text(_operand(args.perm))
     inv, fix, exc, dep = four_stats(perm)
     row = {"inv": inv, "fix": fix, "exc": exc, "depth": dep}
     print(_emit_table([row], args.format))
@@ -48,7 +53,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    path = encode_perm(Permutation.from_text(args.perm))
+    path = encode_perm(Permutation.from_text(_operand(args.perm)))
     if args.format == "json":
         print(json.dumps(path.to_records(), indent=2))
     else:
@@ -57,7 +62,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    text = args.path.strip()
+    text = _operand(args.path).strip()
     if text.startswith("["):
         path = WeightedMotzkinPath.from_records(json.loads(text))
     else:
@@ -130,17 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("stats", help="inv/fix/exc/depth of a permutation")
-    p.add_argument("perm", help='one-line notation, e.g. "3 2 1"')
+    p.add_argument("perm", help='one-line notation, e.g. "3 2 1", or - to read stdin')
     add_format(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("encode", help="permutation -> weighted Motzkin path")
-    p.add_argument("perm")
+    p.add_argument("perm", help="as for stats; - reads stdin")
     add_format(p)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="weighted Motzkin path -> permutation")
-    p.add_argument("path", help='e.g. "U(1,0) H3(1,0) D(1,0)" or a JSON array')
+    p.add_argument("path", help='e.g. "U(1,0) H3(1,0) D(1,0)", a JSON array, or - to read stdin')
     add_format(p)
     p.set_defaults(func=_cmd_decode)
 

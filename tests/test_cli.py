@@ -12,7 +12,7 @@ import pytest
 from permotzkin import cli, verify
 from permotzkin.cli import main
 from permotzkin.jfraction import REFINED_ORDER_LIMIT
-from permotzkin.permutations import Permutation
+from permotzkin.permutations import Permutation, image_stats
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -172,6 +172,53 @@ def test_encode_and_decode_bytes_at_n_300(capsys):
         assert code == 0
         assert sha256(decoded) == "f6e99bb8283da5d9b7adc703a2bcd1980f6cf2ba10dfb931aefa7b4198548870"
         assert decoded == perm + "\n"
+
+
+# Linux refuses one argv string over 128 KiB; "-" reads the operand from stdin.
+ARGV_CAP = 128 * 1024
+
+
+def test_stdin_takes_inputs_past_the_argv_cap(capsys, monkeypatch):
+    images = list(range(1, 30001))
+    random.Random(30000).shuffle(images)
+    perm = " ".join(map(str, images))
+    assert len(perm.encode()) > ARGV_CAP
+
+    result = subprocess.run(
+        [sys.executable, "-m", "permotzkin.cli", "stats", "-", "--format", "json"],
+        input=perm + "\n",
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    inv, fix, exc, dep = image_stats(tuple(images))
+    assert json.loads(result.stdout) == [{"inv": inv, "fix": fix, "exc": exc, "depth": dep}]
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(perm))
+    code, path, _ = run(capsys, "encode", "-")
+    assert code == 0
+    assert len(path.encode()) > ARGV_CAP
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path))
+    code, decoded, _ = run(capsys, "decode", "-")
+    assert code == 0
+    assert decoded == perm + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["stats", "-"], "3 1 x\n", "position 3: 'x' is not an integer"),
+        (["encode", "-"], "2 2 1", "position 2: value 2 repeated"),
+        (["decode", "-"], "U(1,0) Q(1,0) D(1,0)\n", "step 2: cannot parse 'Q(1,0)'"),
+    ],
+)
+def test_bad_stdin_is_a_positioned_parse_error(capsys, monkeypatch, argv, stdin, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_imbalance(capsys):

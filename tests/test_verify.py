@@ -1,11 +1,14 @@
+import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from permotzkin import identities, verify
+from permotzkin import bijection, identities, involution, motzkin, verify
 from permotzkin.cli import main
+from permotzkin.permutations import Permutation, image_stats
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -99,3 +102,113 @@ def test_verify_output_is_the_same_under_python_O():
     assert plain.returncode == optimised.returncode == 0
     assert optimised.stdout == plain.stdout
     assert plain.stdout.startswith("[")
+
+
+def failed_records(max_n=6):
+    """(check, n, computed) of every failing record, after checking the record set."""
+    records = verify.run_checks(max_n=max_n)
+    assert {(record.check, record.n) for record in records} == expected_keys(max_n)
+    return [(record.check, record.n, record.computed) for record in records if not record.passed]
+
+
+def same_stats_pair(n, skip=()):
+    """The lexicographically first two permutations of S_n with equal statistics."""
+    first = {}
+    for images in itertools.permutations(range(1, n + 1)):
+        if images in skip:
+            continue
+        stats = image_stats(images)
+        if stats in first:
+            return first[stats], images
+        first[stats] = images
+    raise AssertionError(f"all statistics differ on S_{n}")
+
+
+def test_round_trip_catches_encode_sending_two_permutations_to_one_path(monkeypatch):
+    # Equal statistics, so the weight check passes and only the round trip can tell.
+    kept, lost = (Permutation(images) for images in same_stats_pair(4))
+    encode = bijection.encode
+    monkeypatch.setattr(bijection, "encode", lambda perm: encode(kept if perm == lost else perm))
+    assert failed_records() == [("bijection", 4, f"round trip failed at {lost.to_text()!r}")]
+
+
+def test_weight_check_catches_a_path_of_other_statistics(monkeypatch):
+    identity, swap = Permutation((1, 2, 3, 4)), Permutation((2, 1, 3, 4))
+    encode = bijection.encode
+    monkeypatch.setattr(bijection, "encode", lambda perm: encode(identity if perm == swap else perm))
+    assert failed_records() == [("bijection", 4, "weight mismatch at '2 1 3 4'")]
+
+
+def patch_pairing(monkeypatch, n, mutate):
+    """Serve a mutated copy of the partner table of S_n, the true table otherwise."""
+    pairing = involution._pairing
+    table = dict(pairing(n))
+    mutate(table)
+    monkeypatch.setattr(involution, "_pairing", lambda m: table if m == n else pairing(m))
+
+
+def pair(table, a, b):
+    table[a], table[b] = b, a
+
+
+def test_involution_check_catches_a_three_cycle_of_partners(monkeypatch):
+    a, b, c = itertools.islice(itertools.permutations(range(1, 5)), 3)
+    patch_pairing(monkeypatch, 4, lambda table: table.update({a: b, b: c, c: a}))
+    assert failed_records() == [("involution", 4, "not involutive at '1 2 3 4'")]
+
+
+# (inv, exc, depth) move by (6, 2, 4), by (2, 2, 2) outside {1, 0, -1}, by
+# (1, 1, 2) and by (1, 0, 1); the first of each pair is the first record to break
+@pytest.mark.parametrize(
+    "first, other",
+    [
+        ((1, 2, 3, 4), (4, 3, 2, 1)),
+        ((1, 2, 3, 4), (2, 1, 4, 3)),
+        ((1, 4, 3, 2), (3, 4, 1, 2)),
+        ((1, 3, 2, 4), (1, 4, 2, 3)),
+    ],
+)
+def test_involution_check_catches_partners_breaking_the_delta_law(monkeypatch, first, other):
+    def mutate(table):
+        pair(table, table[first], table[other])
+        pair(table, first, other)
+
+    patch_pairing(monkeypatch, 4, mutate)
+    at = Permutation(first).to_text()
+    assert failed_records() == [("involution", 4, f"delta law broken at {at!r}")]
+
+
+def test_involution_check_catches_partners_with_delta_zero(monkeypatch):
+    # two fixed points of S_5 with equal statistics, paired with each other
+    first, second = same_stats_pair(5, skip=involution._pairing(5))
+    patch_pairing(monkeypatch, 5, lambda table: pair(table, first, second))
+    at = Permutation(first).to_text()
+    assert failed_records() == [("involution", 5, f"delta/fixed mismatch at {at!r}")]
+
+
+def test_bijection_check_never_enumerates_paths(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the bijection check enumerated the paths")
+
+    monkeypatch.setattr(motzkin, "enumerate_weighted", refuse)
+    for n in range(7):
+        expected, computed = verify._bijection(n)
+        assert computed == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_involution_check_does_each_permutations_work_once(monkeypatch, n):
+    calls = {"image_stats": 0, "_pairing": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "image_stats", counted("image_stats", verify.image_stats))
+    monkeypatch.setattr(involution, "_pairing", counted("_pairing", involution._pairing))
+    expected, computed = verify._involution(n)
+    assert computed == expected
+    assert calls == {"image_stats": math.factorial(n), "_pairing": 1}
