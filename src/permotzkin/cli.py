@@ -89,7 +89,7 @@ def _cmd_imbalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_involution(args: argparse.Namespace) -> int:
-    perm = Permutation.from_text(args.perm)
+    perm = Permutation.from_text(_operand(args.perm))
     partner = parity_reversing_involution(perm)
     inv, _, exc, dep = four_stats(perm)
     pinv, _, pexc, pdep = four_stats(partner)
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_imbalance)
 
     p = sub.add_parser("involution", help="parity-reversing partner of a permutation")
-    p.add_argument("--perm", required=True)
+    p.add_argument("--perm", required=True, help="as for stats; - reads stdin")
     add_format(p)
     p.set_defaults(func=_cmd_involution)
 

@@ -13,10 +13,15 @@ builds its ``ReportRecord``; ``CHECKS`` holds one runner per name.
 The S_n walks do each permutation's work once: ``bijection`` keeps no path
 set (validation, the round trip and the n! of ``cardinality`` make its image
 the whole set), and ``involution`` reads one ``_pairing(n)`` and stats pass.
+Both of the latter are indexed by lexicographic rank, the order of
+``itertools.permutations``, so the check keeps no permutation: it walks S_n
+in that order and reads each partner's statistics by rank.  A partner rank
+outside 0 .. n! - 1 is reported as not involutive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -97,20 +102,24 @@ def _imbalance_exc(n: int) -> tuple[str, str]:
 def _involution(n: int) -> tuple[str, str]:
     summary = "involutive, equal deltas in {{1,0,-1}}, {} fixed points".format
     expected = summary(involution.euler_numbers(n)[n] if n % 2 else 0)
-    pairing = involution._pairing(n)
-    stats = {perm.images: image_stats(perm.images) for perm in iter_group(n)}
+    # partners and stats are both indexed by lexicographic rank, the order in
+    # which itertools.permutations walks S_n: once for the stats, once to check
+    values = range(1, n + 1)
+    partner = involution._pairing(n)
+    stats = [image_stats(images) for images in itertools.permutations(values)]
     fixed = 0
-    for images, (pi, _, pe, pd) in stats.items():
-        partner = pairing.get(images, images)
-        if pairing.get(partner, partner) != images:
+    for rank, images in enumerate(itertools.permutations(values)):
+        pi, _, pe, pd = stats[rank]
+        other = partner[rank]
+        if not 0 <= other < len(stats) or partner[other] != rank:
             return expected, f"not involutive at {Permutation(images).to_text()!r}"
-        qi, _, qe, qd = stats[partner]
+        qi, _, qe, qd = stats[other]
         delta = pi - qi
         if not (delta == pe - qe == pd - qd and delta in (-1, 0, 1)):
             return expected, f"delta law broken at {Permutation(images).to_text()!r}"
-        if (delta == 0) != (partner == images):
+        if (delta == 0) != (other == rank):
             return expected, f"delta/fixed mismatch at {Permutation(images).to_text()!r}"
-        fixed += partner == images
+        fixed += other == rank
     return expected, summary(fixed)
 
 

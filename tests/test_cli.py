@@ -211,6 +211,8 @@ def test_stdin_takes_inputs_past_the_argv_cap(capsys, monkeypatch):
         (["stats", "-"], "3 1 x\n", "position 3: 'x' is not an integer"),
         (["encode", "-"], "2 2 1", "position 2: value 2 repeated"),
         (["decode", "-"], "U(1,0) Q(1,0) D(1,0)\n", "step 2: cannot parse 'Q(1,0)'"),
+        (["involution", "--perm", "-"], "1 x 2\n", "position 2: 'x' is not an integer"),
+        (["involution", "--perm", "-"], "1 3\n", "position 2: value 3 out of range 1..2"),
     ],
 )
 def test_bad_stdin_is_a_positioned_parse_error(capsys, monkeypatch, argv, stdin, message):
@@ -235,6 +237,14 @@ def test_involution_command(capsys):
     assert code == 0
     [row] = json.loads(out)
     assert row == {"partner": "2 1", "delta": 1, "fixed": False}
+
+
+def test_involution_reads_the_permutation_from_stdin(capsys, monkeypatch):
+    code, expected, _ = run(capsys, "involution", "--perm", "3 1 4 2 5", "--format", "json")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3 1 4 2 5\n"))
+    code, out, err = run(capsys, "involution", "--perm", "-", "--format", "json")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_involution_command_rejects_a_partner_breaking_the_delta_law(capsys, monkeypatch):

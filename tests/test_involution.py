@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permotzkin import involution
 from permotzkin.errors import SizeLimitError
 from permotzkin.involution import (
     euler_numbers,
@@ -12,6 +15,7 @@ from permotzkin.involution import (
 from permotzkin.permutations import (
     Permutation,
     four_stats,
+    image_stats,
     is_alternating,
     iter_group,
 )
@@ -112,3 +116,41 @@ def test_involution_delta_law(perm):
     assert delta == qe - pe == qd - pd
     assert delta in (-1, 0, 1)
     assert parity_reversing_involution(partner) == perm
+
+
+def tuple_keyed_pairing(n):
+    """The greedy matching keyed by image tuples, with layers sorted explicitly."""
+    groups = {}
+    for images in itertools.permutations(range(1, n + 1)):
+        inv, _, exc, dep = image_stats(images)
+        groups.setdefault((inv - dep, exc - dep), {}).setdefault(dep, []).append(images)
+    pairing = {}
+    for layers in groups.values():
+        carry, previous_depth = [], None
+        for dep in sorted(layers):
+            layer = sorted(layers[dep])
+            if previous_depth is not None and dep == previous_depth + 1:
+                matched = min(len(carry), len(layer))
+                for low, high in zip(carry[:matched], layer[:matched]):
+                    pairing[low], pairing[high] = high, low
+                carry = layer[matched:]
+            else:
+                carry = layer
+            previous_depth = dep
+    return pairing
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_rank_table_matches_the_tuple_keyed_greedy(n):
+    group = list(itertools.permutations(range(1, n + 1)))
+    rank = {images: r for r, images in enumerate(group)}
+    pairing = tuple_keyed_pairing(n)
+    expected = [rank[pairing.get(images, images)] for images in group]
+    assert list(involution._pairing(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_rank_and_unrank_follow_itertools_order(n):
+    for r, images in enumerate(itertools.permutations(range(1, n + 1))):
+        assert involution._rank(images) == r
+        assert involution._unrank(r, n) == images

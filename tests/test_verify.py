@@ -112,16 +112,24 @@ def failed_records(max_n=6):
 
 
 def same_stats_pair(n, skip=()):
-    """The lexicographically first two permutations of S_n with equal statistics."""
+    """The lexicographically first two permutations of S_n with equal statistics.
+
+    Permutations whose lexicographic rank is in ``skip`` are passed over.
+    """
     first = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        if images in skip:
+    for rank, images in enumerate(itertools.permutations(range(1, n + 1))):
+        if rank in skip:
             continue
         stats = image_stats(images)
         if stats in first:
             return first[stats], images
         first[stats] = images
     raise AssertionError(f"all statistics differ on S_{n}")
+
+
+def rank(images):
+    """Position of images in the lexicographic walk of its S_n."""
+    return list(itertools.permutations(range(1, len(images) + 1))).index(images)
 
 
 def test_round_trip_catches_encode_sending_two_permutations_to_one_path(monkeypatch):
@@ -140,9 +148,9 @@ def test_weight_check_catches_a_path_of_other_statistics(monkeypatch):
 
 
 def patch_pairing(monkeypatch, n, mutate):
-    """Serve a mutated copy of the partner table of S_n, the true table otherwise."""
+    """Serve a mutated copy of the partner ranks of S_n, the true table otherwise."""
     pairing = involution._pairing
-    table = dict(pairing(n))
+    table = pairing(n)[:]
     mutate(table)
     monkeypatch.setattr(involution, "_pairing", lambda m: table if m == n else pairing(m))
 
@@ -152,9 +160,25 @@ def pair(table, a, b):
 
 
 def test_involution_check_catches_a_three_cycle_of_partners(monkeypatch):
-    a, b, c = itertools.islice(itertools.permutations(range(1, 5)), 3)
-    patch_pairing(monkeypatch, 4, lambda table: table.update({a: b, b: c, c: a}))
+    def mutate(table):
+        a, b, c = range(3)  # the ranks of 1 2 3 4, 1 2 4 3 and 1 3 2 4
+        table[a], table[b], table[c] = b, c, a
+
+    patch_pairing(monkeypatch, 4, mutate)
     assert failed_records() == [("involution", 4, "not involutive at '1 2 3 4'")]
+
+
+# Each shift moves the partner rank out of 0..23, the ranks of S_4; by -24 = -4!
+# a negative index would wrap around onto the true partner and pass unnoticed.
+@pytest.mark.parametrize("shift", [24, 10**6, -24])
+def test_involution_check_reports_a_partner_rank_out_of_range(monkeypatch, shift):
+    at = (1, 3, 2, 4)
+
+    def mutate(table):
+        table[rank(at)] += shift
+
+    patch_pairing(monkeypatch, 4, mutate)
+    assert failed_records() == [("involution", 4, "not involutive at '1 3 2 4'")]
 
 
 # (inv, exc, depth) move by (6, 2, 4), by (2, 2, 2) outside {1, 0, -1}, by
@@ -170,8 +194,8 @@ def test_involution_check_catches_a_three_cycle_of_partners(monkeypatch):
 )
 def test_involution_check_catches_partners_breaking_the_delta_law(monkeypatch, first, other):
     def mutate(table):
-        pair(table, table[first], table[other])
-        pair(table, first, other)
+        pair(table, table[rank(first)], table[rank(other)])
+        pair(table, rank(first), rank(other))
 
     patch_pairing(monkeypatch, 4, mutate)
     at = Permutation(first).to_text()
@@ -180,8 +204,9 @@ def test_involution_check_catches_partners_breaking_the_delta_law(monkeypatch, f
 
 def test_involution_check_catches_partners_with_delta_zero(monkeypatch):
     # two fixed points of S_5 with equal statistics, paired with each other
-    first, second = same_stats_pair(5, skip=involution._pairing(5))
-    patch_pairing(monkeypatch, 5, lambda table: pair(table, first, second))
+    matched = {r for r, other in enumerate(involution._pairing(5)) if other != r}
+    first, second = same_stats_pair(5, skip=matched)
+    patch_pairing(monkeypatch, 5, lambda table: pair(table, rank(first), rank(second)))
     at = Permutation(first).to_text()
     assert failed_records() == [("involution", 5, f"delta/fixed mismatch at {at!r}")]
 
