@@ -26,8 +26,8 @@ ranks:
 ``encode`` finds each rank by bisecting sorted lists of the open arcs, which
 ``decode`` pops from: O(n log n) comparisons plus C-level list shifts.  On a
 random sigma encode / decode take 0.005 / 0.005, 0.12 / 0.10 and 7.9 / 7.0 s
-at n = 10^4, 10^5, 10^6 (Python 3.11, 2 vCPUs).  The CLI reads sigma as one
-argv string, at most 128 KiB on Linux (n <= 23,696); use the library beyond.
+at n = 10^4, 10^5, 10^6 (Python 3.11, 2 vCPUs).  On the command line, ``-``
+as the operand reads sigma or the path from stdin, with no cap on n.
 
 Under this labeling the path weight multiplies out to exactly
 q^inv * p^fix * s^exc * t^depth; the test suite checks bijectivity and
@@ -100,9 +100,8 @@ def encode(perm: Permutation) -> WeightedMotzkinPath:
     return _flat_path(tuple(kinds), tuple(heights), tuple(choices))
 
 
-def decode(path: WeightedMotzkinPath) -> Permutation:
-    """Invert :func:`encode`; rejects invalid paths."""
-    ensure_valid(path)
+def _decode_images(path: WeightedMotzkinPath) -> tuple[int, ...]:
+    """The images of the permutation ``encode`` maps to ``path``, which must be valid."""
     images = [0] * (len(path) + 1)
     # Positions only grow, so appending keeps these lists sorted.
     open_out: list[int] = []  # positions awaiting their image
@@ -124,5 +123,10 @@ def decode(path: WeightedMotzkinPath) -> Permutation:
         else:  # D
             images[open_out.pop(choice)] = m
             images[m] = open_in.pop(pending.pop())
+    return tuple(images[1:])
 
-    return Permutation(tuple(images[1:]))
+
+def decode(path: WeightedMotzkinPath) -> Permutation:
+    """Invert :func:`encode`; rejects invalid paths."""
+    ensure_valid(path)
+    return Permutation(_decode_images(path))

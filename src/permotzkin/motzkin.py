@@ -27,15 +27,17 @@ e.g. ``U(1,0) H3(1,0) D(1,0)``.  A JSON array of records with fields
 Storage: a ``WeightedMotzkinPath`` holds three parallel tuples of ints,
 ``kinds`` (codes indexing ``STEP_KINDS``), ``heights`` and ``choices``, so
 equality and hashing compare int tuples.  ``path.steps`` is a read-only view
-that builds ``WeightedStep`` objects on demand; validation, weights, area,
-enumeration and the bijection read and write the tuples directly.  Heights
-are stored rather than derived, so a wrong height in user input is reported
-as such.
+that builds ``WeightedStep`` objects on demand; enumeration and the
+bijection read and write the tuples directly.  Heights are stored rather
+than derived, so a wrong height in user input is reported as such.  One
+walk, ``path_exponents``, validates a path and sums its weight in the same
+pass; ``ensure_valid``, ``validate``, ``path_weight`` and ``area`` all run it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -168,44 +170,6 @@ def _flat_path(
     return path
 
 
-def validate(path: WeightedMotzkinPath) -> tuple[bool, str]:
-    """Check all invariants; the diagnostic names the first bad step (1-based)."""
-    kinds, heights, choices = path._flat
-    running = 0
-    for index, (kind, h, choice) in enumerate(zip(kinds, heights, choices), start=1):
-        if kind == KIND_U:
-            if h != running + 1:
-                return False, f"step {index}: U height {h} does not match running height {running}"
-            running += 1
-        elif kind == KIND_D:
-            if running <= 0:
-                return False, f"step {index}: D step below the x-axis"
-            if h != running:
-                return False, f"step {index}: D height {h} does not match running height {running}"
-            running -= 1
-        elif h != running:
-            return (
-                False,
-                f"step {index}: {_NAMES[kind]} height {h} does not match running height {running}",
-            )
-        if kind == KIND_H3:
-            if choice != 0:
-                return False, f"step {index}: H3 choice must be 0, got {choice}"
-        elif h < 1:  # U and D heights are >= 1 by now: an H1 or H2 on the axis
-            return False, f"step {index}: {_NAMES[kind]} is not allowed at height 0"
-        elif not 0 <= choice <= h - 1:
-            return False, f"step {index}: {_NAMES[kind]} choice {choice} out of range 0..{h - 1}"
-    if running != 0:
-        return False, f"path ends at height {running}, not 0"
-    return True, "valid"
-
-
-def ensure_valid(path: WeightedMotzkinPath) -> None:
-    ok, diagnostic = validate(path)
-    if not ok:
-        raise InvalidPathError(diagnostic)
-
-
 def step_exponents(step: WeightedStep) -> Monomial:
     """Exponents (eq, ep, es, et) of the step's weight monomial."""
     kind, h, d = step.kind, step.height, step.choice
@@ -238,30 +202,61 @@ def step_weight(step: WeightedStep) -> MultiPoly:
 
 
 def path_exponents(path: WeightedMotzkinPath) -> Monomial:
-    """Exponents (eq, ep, es, et) of the path weight; rejects invalid paths.
-
-    Sums the menu of ``step_exponents`` over the flat tuples, building no
-    per-step objects.
-    """
-    ensure_valid(path)
+    """Exponents (eq, ep, es, et) of the path weight, summed over the flat
+    tuples in the one validating walk; rejects invalid paths."""
     kinds, heights, choices = path._flat
-    eq = es = et = 0
-    for kind, h, d in zip(kinds, heights, choices):
+    running = eq = es = et = 0
+    for index, kind, h, d in zip(itertools.count(1), kinds, heights, choices):
         if kind == KIND_U:
+            if h != running + 1:
+                raise _bad(index, f"U height {h} does not match running height {running}")
+            running += 1
             eq += d
             es += 1
             et += 2 * h - 1
         elif kind == KIND_D:
+            if running <= 0:
+                raise _bad(index, "D step below the x-axis")
+            if h != running:
+                raise _bad(index, f"D height {h} does not match running height {running}")
+            running -= 1
             eq += 2 * h - 1 + d
+        elif h != running:
+            raise _bad(index, f"{_NAMES[kind]} height {h} does not match running height {running}")
         elif kind == KIND_H3:
+            if d != 0:
+                raise _bad(index, f"H3 choice must be 0, got {d}")
             eq += 2 * h
             et += h
+            continue
+        elif h < 1:
+            raise _bad(index, f"{_NAMES[kind]} is not allowed at height 0")
         else:
             eq += h + d
             et += h
-            if kind == KIND_H1:
-                es += 1
+            es += kind == KIND_H1  # H1 carries s, H2 does not
+        if not 0 <= d <= h - 1:  # U, D, H1 or H2, with h >= 1 by now
+            raise _bad(index, f"{_NAMES[kind]} choice {d} out of range 0..{h - 1}")
+    if running != 0:
+        raise InvalidPathError(f"path ends at height {running}, not 0")
     return (eq, kinds.count(KIND_H3), es, et)
+
+
+def _bad(index: int, problem: str) -> InvalidPathError:
+    return InvalidPathError(f"step {index}: {problem}")
+
+
+#: Callers that only validate run the same walk and drop the exponents.
+ensure_valid = path_exponents
+
+
+def validate(path: WeightedMotzkinPath) -> tuple[bool, str]:
+    """``(True, "valid")``, or ``False`` with the diagnostic of ``path_exponents``."""
+    try:
+        path_exponents(path)
+    except InvalidPathError as error:
+        return False, str(error)
+    return True, "valid"
 
 
 def path_weight(path: WeightedMotzkinPath) -> MultiPoly:
@@ -270,21 +265,13 @@ def path_weight(path: WeightedMotzkinPath) -> MultiPoly:
 
 
 def area(path: WeightedMotzkinPath) -> int:
-    """Area between the path and the x-axis, as an exact integer.
+    """Area between the path and the x-axis: the t exponent of its weight.
 
-    Each step is a trapezoid of area (height_before + height_after) / 2.  The
-    doubled sum is even: U and D steps, equally many on a closed path, add the
-    odd 2h - 1, and H steps add 2h.
+    A step at height h is a trapezoid of area h, or h - 1/2 for U and D.  U
+    and D steps pair up level by level, so the total is the t exponent's sum
+    of 2h - 1 over U steps and h over H steps.
     """
-    ensure_valid(path)
-    kinds, heights, _ = path._flat
-    doubled = 0
-    for kind, h in zip(kinds, heights):
-        if kind == KIND_U or kind == KIND_D:
-            doubled += 2 * h - 1
-        else:
-            doubled += 2 * h
-    return doubled // 2
+    return path_exponents(path)[3]
 
 
 def enumerate_weighted(n: int) -> Iterator[WeightedMotzkinPath]:

@@ -175,11 +175,17 @@ def depth_via_factorization(perm: Permutation) -> int:
     return _min_transposition_cost(perm.n)[perm.images]
 
 
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A ``Permutation`` of ``images``, which must already be a permutation."""
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "images", images)
+    return perm
+
+
 def iter_group(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order."""
     check_size(n, GROUP_ENUMERATION_LIMIT, "enumeration is")
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+    yield from map(_trusted, itertools.permutations(range(1, n + 1)))
 
 
 def iter_derangements(n: int) -> Iterator[Permutation]:

@@ -10,12 +10,14 @@ n it covers for a given ``max_n``.  That table is the only place a range is
 written.  One runner times each n, including all the work behind it, and
 builds its ``ReportRecord``; ``CHECKS`` holds one runner per name.
 
-The S_n walks do each permutation's work once: ``bijection`` keeps no path
-set (validation, the round trip and the n! of ``cardinality`` make its image
-the whole set), and ``involution`` reads one ``_pairing(n)`` and stats pass.
-Both of the latter are indexed by lexicographic rank, the order of
-``itertools.permutations``, so the check keeps no permutation: it walks S_n
-in that order and reads each partner's statistics by rank.  A partner rank
+The S_n walks do each permutation's work once.  ``bijection`` validates
+each image once, in ``motzkin.path_exponents``, which also sums its weight,
+and compares the decode kernel's images with the permutation's.  It keeps
+no path set: validation, the round trip and the n! of ``cardinality`` make
+its image the whole set.  ``involution`` reads one ``_pairing(n)`` and one
+stats pass (three byte arrays), both indexed by lexicographic rank, the
+order of ``itertools.permutations``: it walks S_n in that order, keeps no
+permutation and reads each partner's statistics by rank.  A partner rank
 outside 0 .. n! - 1 is reported as not involutive.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,7 +72,7 @@ def _bijection(n: int) -> tuple[str, str]:
         path = bijection.encode(perm)
         if motzkin.path_exponents(path) != image_stats(perm.images):
             return expected, f"weight mismatch at {perm.to_text()!r}"
-        if bijection.decode(path) != perm:
+        if bijection._decode_images(path) != perm.images:
             return expected, f"round trip failed at {perm.to_text()!r}"
     return expected, expected
 
@@ -102,20 +105,20 @@ def _imbalance_exc(n: int) -> tuple[str, str]:
 def _involution(n: int) -> tuple[str, str]:
     summary = "involutive, equal deltas in {{1,0,-1}}, {} fixed points".format
     expected = summary(involution.euler_numbers(n)[n] if n % 2 else 0)
-    # partners and stats are both indexed by lexicographic rank, the order in
-    # which itertools.permutations walks S_n: once for the stats, once to check
     values = range(1, n + 1)
     partner = involution._pairing(n)
-    stats = [image_stats(images) for images in itertools.permutations(values)]
+    stats = array("B")  # (inv, fix, exc, depth) rank by rank, each a byte while n <= 23
+    for images in itertools.permutations(values):
+        stats.extend(image_stats(images))
+    inv, exc, dep = stats[0::4], stats[2::4], stats[3::4]
     fixed = 0
     for rank, images in enumerate(itertools.permutations(values)):
-        pi, _, pe, pd = stats[rank]
         other = partner[rank]
-        if not 0 <= other < len(stats) or partner[other] != rank:
+        if not 0 <= other < len(inv) or partner[other] != rank:
             return expected, f"not involutive at {Permutation(images).to_text()!r}"
-        qi, _, qe, qd = stats[other]
-        delta = pi - qi
-        if not (delta == pe - qe == pd - qd and delta in (-1, 0, 1)):
+        delta = inv[rank] - inv[other]
+        equal = delta == exc[rank] - exc[other] == dep[rank] - dep[other]
+        if not (equal and delta in (-1, 0, 1)):
             return expected, f"delta law broken at {Permutation(images).to_text()!r}"
         if (delta == 0) != (other == rank):
             return expected, f"delta/fixed mismatch at {Permutation(images).to_text()!r}"

@@ -23,6 +23,7 @@ from permotzkin.motzkin import (
     path_weight,
 )
 from permotzkin.permutations import Permutation, four_stats, image_stats, iter_group
+from test_motzkin import reference_validate, step_sequences
 
 perms = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -172,6 +173,19 @@ def test_round_trip_property(perm):
     path = encode(perm)
     assert decode(path) == perm
     assert path_weight(path) == MultiPoly.monomial(four_stats(perm))
+
+
+@settings(max_examples=300)
+@given(step_sequences())
+def test_decode_reports_the_reference_diagnostic(steps):
+    path = WeightedMotzkinPath(steps)
+    ok, message = reference_validate(steps)
+    if ok:
+        assert encode(decode(path)) == path
+        return
+    with pytest.raises(InvalidPathError) as error:
+        decode(path)
+    assert str(error.value) == message
 
 
 def test_decode_rejects_invalid_paths():

@@ -1,4 +1,5 @@
 import math
+from typing import Iterable
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from permotzkin.motzkin import (
     WeightedMotzkinPath,
     WeightedStep,
     area,
+    ensure_valid,
     enumerate_weighted,
     path_exponents,
     path_weight,
@@ -105,10 +107,16 @@ def test_area_examples():
 
 
 def test_area_equals_depth_exponent():
-    # the t-exponent of the weight telescopes to the enclosed area
+    # the t-exponent of the weight telescopes to the enclosed area; area reads
+    # it off, so the trapezoid sum (twice each step's mean height) checks both
+    up_down = (StepKind.U, StepKind.D)
     for n in range(6):
         for path in enumerate_weighted(n):
+            doubled = sum(2 * step.height - (step.kind in up_down) for step in path.steps)
+            assert 2 * area(path) == doubled
             assert path_weight(path).terms().popitem()[0][3] == area(path)
+    with pytest.raises(InvalidPathError, match="path ends at height 1, not 0"):
+        area(path_of("U(1,0)"))
 
 
 def test_enumeration_counts_are_factorials():
@@ -250,14 +258,33 @@ def step_sequences(draw) -> list[WeightedStep]:
     return steps
 
 
+def menu_exponents(steps: Iterable[WeightedStep]) -> tuple[int, int, int, int]:
+    """The weight's exponents, summed step by step from ``step_weight``."""
+    total = [0, 0, 0, 0]
+    for step in steps:
+        for i, e in enumerate(step_weight(step).terms().popitem()[0]):
+            total[i] += e
+    return tuple(total)
+
+
 @settings(max_examples=300)
 @given(step_sequences())
 @example([WeightedStep(StepKind.H3, 0, -1)])
 @example([WeightedStep(StepKind.U, 1, 0), WeightedStep(StepKind.D, 1, -1)])
 @example([WeightedStep(StepKind.U, 1, 0), WeightedStep(StepKind.H1, 1, -1)])
 def test_validate_matches_the_step_by_step_reference(steps):
+    # every entry point to the validating walk reports the reference's text
     path = WeightedMotzkinPath(steps)
-    assert validate(path) == reference_validate(steps)
+    ok, message = reference_validate(steps)
+    assert validate(path) == (ok, message)
+    if ok:
+        assert path_exponents(path) == menu_exponents(steps)
+        ensure_valid(path)
+        return
+    for walk in (path_exponents, ensure_valid, path_weight, area):
+        with pytest.raises(InvalidPathError) as error:
+            walk(path)
+        assert str(error.value) == message
 
 
 @given(step_sequences())
@@ -312,10 +339,6 @@ def test_steps_view_is_read_only():
 def test_path_exponents_is_the_weight_monomial():
     for n in range(6):
         for path in enumerate_weighted(n):
-            eq, ep, es, et = (0, 0, 0, 0)
-            for step in path.steps:
-                a, b, c, d = step_weight(step).terms().popitem()[0]
-                eq, ep, es, et = eq + a, ep + b, es + c, et + d
-            assert path_exponents(path) == (eq, ep, es, et)
+            assert path_exponents(path) == menu_exponents(path.steps)
     with pytest.raises(InvalidPathError):
         path_exponents(path_of("U(1,0)"))

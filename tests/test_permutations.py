@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -147,6 +149,8 @@ def test_statistic_sandwich():
 def test_depth_distribution_total():
     for n in range(7):
         assert sum(1 for _ in iter_group(n)) == math.factorial(n)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        next(iter_group(2)).images = (2, 1)
 
 
 @pytest.mark.parametrize("text, expected", [("1 2", 0), ("2 1", 1), ("", 0)])
@@ -226,3 +230,22 @@ def test_parse_errors_carry_positions(text, fragment):
 def test_constructor_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((1, 1))
+
+
+@pytest.mark.parametrize("images", [(2, 3), (0,), (1, 2, 2)])
+def test_constructor_still_checks_its_input(images):
+    with pytest.raises(ValueError, match="is not a permutation of"):
+        Permutation(images)
+
+
+def test_group_items_are_permutations_like_the_constructors():
+    # iter_group skips the constructor's check; its items must not tell
+    for n in range(7):
+        for perm, images in zip(iter_group(n), itertools.permutations(range(1, n + 1))):
+            built = Permutation(images)
+            assert type(perm) is Permutation
+            assert perm == built and hash(perm) == hash(built) and {perm, built} == {built}
+            assert perm.images == images and repr(perm) == repr(built)
+        assert sum(1 for _ in iter_group(n)) == math.factorial(n)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        next(iter_group(2)).images = (2, 1)

@@ -140,6 +140,41 @@ def test_round_trip_catches_encode_sending_two_permutations_to_one_path(monkeypa
     assert failed_records() == [("bijection", 4, f"round trip failed at {lost.to_text()!r}")]
 
 
+def test_round_trip_catches_a_decode_kernel_swapping_two_images(monkeypatch):
+    # The check compares the kernel's images with the permutation's, so a
+    # kernel wrong on one permutation of S_4 fails that record and no other.
+    kernel = bijection._decode_images
+
+    def swapping(path):
+        images = kernel(path)
+        return (images[1], images[0], *images[2:]) if images == (2, 4, 1, 3) else images
+
+    monkeypatch.setattr(bijection, "_decode_images", swapping)
+    assert failed_records() == [("bijection", 4, "round trip failed at '2 4 1 3'")]
+
+
+def test_bijection_check_validates_each_path_once(monkeypatch):
+    walks = []
+    path_exponents = motzkin.path_exponents
+
+    def counted(path):
+        walks.append(path)
+        return path_exponents(path)
+
+    def refuse(path):
+        raise AssertionError("the bijection check called the public decode")
+
+    # every name under which the validating walk can be reached
+    monkeypatch.setattr(motzkin, "path_exponents", counted)
+    monkeypatch.setattr(motzkin, "ensure_valid", counted)
+    monkeypatch.setattr(bijection, "ensure_valid", counted)
+    monkeypatch.setattr(bijection, "decode", refuse)
+    records = verify.run_checks(["bijection"], 6)
+    assert [record.n for record in records if record.passed] == list(range(7))
+    assert len(walks) == sum(math.factorial(n) for n in range(7))
+    assert len(set(walks)) == len(walks)
+
+
 def test_weight_check_catches_a_path_of_other_statistics(monkeypatch):
     identity, swap = Permutation((1, 2, 3, 4)), Permutation((2, 1, 3, 4))
     encode = bijection.encode
