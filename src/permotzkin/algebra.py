@@ -50,6 +50,7 @@ _SHIFT_Q, _SHIFT_P, _SHIFT_S, _SHIFT_T = _SHIFTS = tuple(
 )
 _KEY_LIMIT = 1 << (FIELD_BITS * len(VARIABLES))
 _GUARDS = sum(EXPONENT_LIMIT << shift for shift in _SHIFTS)
+_LOW_FIELDS = (1 << _SHIFT_Q) - 1  # the p, s and t fields of a key
 
 
 def _pack(mono: Monomial) -> int:
@@ -191,33 +192,54 @@ class MultiPoly:
         return None
 
     @staticmethod
+    def sum_of_products(pairs: Iterable[tuple["MultiPoly", "MultiPoly | None"]]) -> "MultiPoly":
+        """The sum of a * b over ``pairs``, where a factor b of ``None`` adds a.
+
+        Every term lands in one packed-key map, which starts as a copy of the
+        largest unmultiplied operand.  A factor coefficient of 1 adds without
+        multiplying.  Zero totals and the exponent bound are settled at the end.
+
+        >>> MultiPoly.sum_of_products([(S, T), (Q, None), (-T, S)])
+        MultiPoly('q')
+        """
+        plain, products = [], []
+        for a, b in pairs:
+            if b is None:
+                plain.append(a._terms)
+            else:  # the longer operand in the inner loop: fewer loop set-ups
+                products.append(sorted((a._terms, b._terms), key=len))
+        plain.sort(key=len)
+        result = dict(plain.pop()) if plain else {}
+        work = products + [({0: 1}, terms) for terms in plain] if plain else products
+        get = result.get
+        for small, big in work:
+            for kb, cb in small.items():
+                scaled = big.items() if cb == 1 else zip(big, map(cb.__mul__, big.values()))
+                for ka, ca in scaled:
+                    key = ka + kb
+                    result[key] = get(key, 0) + ca
+        if 0 in result.values():
+            result = {key: coeff for key, coeff in result.items() if coeff}
+        # Operand fields are below EXPONENT_LIMIT, so each field of a sum
+        # stays below twice that: it sets its guard bit, never the next field.
+        if products and result and reduce(or_, result) & _GUARDS:
+            raise ValueError(f"a product exponent does not fit below {EXPONENT_LIMIT}")
+        return _wrap(result)
+
+    @staticmethod
     def sum(polys: Iterable["MultiPoly"]) -> "MultiPoly":
         """The sum of any number of polynomials, merged into one term map.
-
-        The largest operand's map is copied once and the others are added
-        into the copy, so k operands cost one copy rather than k - 1.
 
         >>> MultiPoly.sum([S, T, -S])
         MultiPoly('t')
         """
-        maps = sorted((poly._terms for poly in polys), key=len)
-        if not maps:
-            return MultiPoly.zero()
-        result = dict(maps.pop())
-        for terms in maps:
-            for key, coeff in terms.items():
-                total = result.get(key, 0) + coeff
-                if total:
-                    result[key] = total
-                else:
-                    del result[key]
-        return _wrap(result)
+        return MultiPoly.sum_of_products((poly, None) for poly in polys)
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return MultiPoly.sum((self, rhs))
+        return MultiPoly.sum_of_products(((self, None), (rhs, None)))
 
     __radd__ = __add__
 
@@ -231,32 +253,13 @@ class MultiPoly:
         return self + (-rhs)
 
     def __rsub__(self, other: "MultiPoly | int") -> "MultiPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        return (-self).__add__(other)  # NotImplemented unless other is an int
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        # the longer operand in the inner loop: fewer loop set-ups
-        small, big = sorted((self._terms, rhs._terms), key=len)
-        big_items = big.items()
-        result: dict[int, int] = {}
-        for kb, cb in small.items():
-            for ka, ca in big_items:
-                key = ka + kb
-                total = result.get(key, 0) + ca * cb
-                if total:
-                    result[key] = total
-                else:
-                    del result[key]
-        # Operand fields are below EXPONENT_LIMIT, so each field of a sum
-        # stays below twice that: it sets its guard bit, never the next field.
-        if result and reduce(or_, result) & _GUARDS:
-            raise ValueError(f"a product exponent does not fit below {EXPONENT_LIMIT}")
-        return _wrap(result)
+        return MultiPoly.sum_of_products(((self, rhs),))
 
     __rmul__ = __mul__
 
@@ -264,13 +267,10 @@ class MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
         result = MultiPoly.one()
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for bit in f"{exponent:b}":  # binary powering, from the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def substitute(self, assignment: Mapping[str, int]) -> "MultiPoly":
@@ -321,32 +321,36 @@ class MultiPoly:
             yield _unpack(key), coeff
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        chunks: list[str] = []
-        for mono, coeff in self:
-            body = _term_text(mono, abs(coeff))
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        q_texts: dict[int, str] = {}  # eq -> "q^eq"
+        low_texts: dict[int, str] = {}  # the p, s and t fields -> "p^ep*s^es*t^et"
+        chunks = []
+        for key in sorted(terms, reverse=True):
+            q = q_texts.get(eq := key >> _SHIFT_Q)
+            if q is None:
+                q = q_texts[eq] = _monomial_text(eq << _SHIFT_Q)
+            rest = low_texts.get(low := key & _LOW_FIELDS)
+            if rest is None:
+                rest = low_texts[low] = _monomial_text(low)
+            mono = f"{q}*{rest}" if q and rest else q or rest
+            coeff = terms[key]
+            body = f"{abs(coeff)}*{mono}" if abs(coeff) != 1 and mono else mono or str(abs(coeff))
+            chunks.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        text = " ".join(chunks)
+        return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
     def __repr__(self) -> str:
         return f"MultiPoly('{self}')"
 
 
-def _term_text(mono: Monomial, coeff: int) -> str:
+def _monomial_text(key: int) -> str:
+    """The monomial of a packed key as text, such as "q*s^2"; "" for 1."""
     parts = []
-    for name, exponent in zip(VARIABLES, mono):
-        if exponent == 1:
-            parts.append(name)
-        elif exponent > 1:
-            parts.append(f"{name}^{exponent}")
-    if not parts:
-        return str(coeff)
-    if coeff != 1:
-        parts.insert(0, str(coeff))
+    for name, shift in zip(VARIABLES, _SHIFTS):
+        if exponent := key >> shift & _FIELD_MASK:
+            parts.append(f"{name}^{exponent}" if exponent > 1 else name)
     return "*".join(parts)
 
 

@@ -82,17 +82,12 @@ def derangement_series_rhs(order: int) -> SeriesTable:
     to the coefficient of z^n, so each entry is a finite exact sum.
     """
     check_size(order, SERIES_ORDER_LIMIT, "series assembly is", name="order")
-    coeffs = []
-    for n in range(order + 1):
-        total = MultiPoly.zero()
-        for k in range(1, n):
-            i = n - 1 - k
-            if 0 <= i <= k - 1:
-                sign = -1 if k & 1 else 1
-                total = total + (
-                    sign * binomial(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i) * T**k
-                )
-        coeffs.append(total)
+
+    def cell(k: int, i: int) -> MultiPoly:
+        return (-1) ** k * binomial(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i) * T**k
+
+    # i <= k - 1 = n - 2 - i holds exactly for i < n // 2
+    coeffs = (MultiPoly.sum(cell(n - 1 - i, i) for i in range(n // 2)) for n in range(order + 1))
     return SeriesTable(tuple(coeffs))
 
 

@@ -8,13 +8,14 @@ fraction
 whose z^n coefficient is the sum, over plain Motzkin paths of length n, of
 the product of gamma_h per horizontal step at height h and lambda_h per
 down step from height h.  ``expand`` computes the truncation by dynamic
-programming over (length, running height) with exact polynomial arithmetic.
-A path at height h with fewer than h steps left can never return to 0, so
-after step k only the heights h <= order - k are kept: the gamma_h product is
-skipped when h exceeds the steps left, and so is the up step when h + 1
-does.  After step k the DP therefore holds at most min(k, order - k) + 1
-heights, and every coefficient is exactly the full path sum.  Each spec
-carries its own ``max_order``, set from the measured cost of its expansion.
+programming over (length, running height), with one call of the kernel
+``MultiPoly.sum_of_products`` per height and step.  A path at height h with
+fewer than h steps left can never return to 0, so after step k only the
+heights h <= order - k are kept: the gamma_h product is skipped when h
+exceeds the steps left, and so is the up step when h + 1 does.  After step k
+the DP therefore holds at most min(k, order - k) + 1 heights, and every
+coefficient is exactly the full path sum.  Each spec carries its own
+``max_order``, set from the measured cost of its expansion.
 
 Two coefficient presets are built in:
 
@@ -86,18 +87,18 @@ def expand(spec: JFractionSpec, order: int) -> SeriesTable:
     lam = [MultiPoly.zero()] + [spec.lam(h) for h in range(1, max_height + 1)]
 
     coeffs = [MultiPoly.one()]
-    state = {0: MultiPoly.one()}  # running height -> sum of prefix products
+    state = [MultiPoly.one()]  # running height -> sum of prefix products
     for left in reversed(range(order)):  # steps left after this one
-        parts: dict[int, list[MultiPoly]] = {}  # height -> contributions
-        for height, poly in state.items():
+        pairs: list[list] = [[] for _ in range(min(len(state), left) + 1)]  # by height
+        for height, poly in enumerate(state):
             if height <= left:
-                parts.setdefault(height, []).append(poly * gamma[height])
+                pairs[height].append((poly, gamma[height]))
             if height + 1 <= left:
-                parts.setdefault(height + 1, []).append(poly)
+                pairs[height + 1].append((poly, None))
             if height >= 1:
-                parts.setdefault(height - 1, []).append(poly * lam[height])
-        state = {h: poly for h, polys in parts.items() if (poly := MultiPoly.sum(polys))}
-        coeffs.append(state.get(0, MultiPoly.zero()))
+                pairs[height - 1].append((poly, lam[height]))
+        state = [MultiPoly.sum_of_products(contributions) for contributions in pairs]
+        coeffs.append(state[0])
     return SeriesTable(tuple(coeffs))
 
 

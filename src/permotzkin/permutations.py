@@ -84,7 +84,7 @@ class Permutation:
                 raise ParseError(f"position {index}: value {value} repeated")
             seen.add(value)
             values.append(value)
-        return cls(tuple(values))
+        return _trusted(tuple(values))  # the loop has checked every value
 
     def to_text(self) -> str:
         return " ".join(str(v) for v in self.images)

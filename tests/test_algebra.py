@@ -245,3 +245,76 @@ def test_exponent_overflow_in_a_product_raises_instead_of_carrying():
     # the largest exponent still fits, next to full neighbouring fields
     edge = MultiPoly.monomial((top - 1, top, top - 1, top))
     assert (edge * Q * S).terms() == {(top, top, top, top): 1}
+
+
+def test_power_takes_no_square_past_its_last_factor():
+    # q^e fits for every e below the limit, even where 2e does not
+    for e in (EXPONENT_LIMIT // 2, EXPONENT_LIMIT - 1):
+        assert (Q**e).terms() == {(e, 0, 0, 0): 1}
+        assert (MultiPoly.monomial((0, 0, 0, e)) ** 1).terms() == {(0, 0, 0, e): 1}
+    with pytest.raises(ValueError):
+        Q**EXPONENT_LIMIT
+
+
+# -- the multiply-accumulate kernel against the same reference ----------------
+
+pair_lists = st.lists(st.tuples(term_maps, st.none() | term_maps), max_size=5)
+
+
+def ref_negate(a):
+    return {mono: -coeff for mono, coeff in a.items()}
+
+
+def ref_sum_of_products(pairs):
+    total = {}
+    for a, b in pairs:
+        total = ref_add(total, ref_nonzero(a) if b is None else ref_mul(a, b))
+    return total
+
+
+def kernel_of(pairs):
+    return MultiPoly.sum_of_products(
+        [(MultiPoly(a), None if b is None else MultiPoly(b)) for a, b in pairs]
+    )
+
+
+@given(pair_lists, st.data())
+def test_sum_of_products_agrees_with_the_tuple_keyed_reference(pairs, data):
+    # negated copies of some pairs make whole terms cancel to zero
+    cancelled = data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    pairs = pairs + [(ref_negate(a), b) for a, b in cancelled]
+    assert_matches(kernel_of(pairs), ref_sum_of_products(pairs))
+
+
+@given(term_maps, term_maps, term_maps)
+def test_sum_of_products_drops_every_cancelled_term(a, b, c):
+    pairs = [(a, b), (c, None), (ref_negate(a), b), (ref_negate(c), None)]
+    assert kernel_of(pairs).terms() == {}
+    assert kernel_of([(a, b), (c, None), (ref_negate(a), b)]).terms() == ref_nonzero(c)
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    assert MultiPoly.sum_of_products([]) == MultiPoly.zero()
+    assert MultiPoly.sum_of_products(iter([])).terms() == {}
+    assert MultiPoly.sum_of_products([(MultiPoly.zero(), None), (S, MultiPoly.zero())]).is_zero()
+
+
+def test_sum_of_products_leaves_its_operands_alone():
+    a, b = 2 * S + T, 3 * Q - T
+    before = a.terms(), b.terms()
+    assert MultiPoly.sum_of_products([(a, None), (a, b), (b, None)]) == a + a * b + b
+    assert (a.terms(), b.terms()) == before
+
+
+def test_exponent_overflow_in_the_kernel_raises_instead_of_carrying():
+    top = EXPONENT_LIMIT - 1
+    for index, variable in enumerate((Q, P, S, T)):
+        full = MultiPoly.monomial(tuple(top if i == index else 0 for i in range(4)))
+        # the overflowing term reaches EXPONENT_LIMIT next to terms that fit
+        pairs = [(S * T, None), (T, Q + 1), (full + 1, variable), (-full, None)]
+        with pytest.raises(ValueError):
+            MultiPoly.sum_of_products(pairs)
+        with pytest.raises(ValueError):
+            MultiPoly.sum_of_products([(variable, 2 * full)])
+        # plain operands with full fields only add coefficients
+        assert MultiPoly.sum_of_products([(full, None), (full, None)]) == 2 * full

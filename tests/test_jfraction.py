@@ -81,8 +81,14 @@ def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch):
     lams = [MultiPoly.zero()] + [(2 * h + 1) * S * T**h for h in range(1, order)]
     spec = JFractionSpec(gamma=gammas.__getitem__, lam=lams.__getitem__)
     products = []
-    multiply = MultiPoly.__mul__
-    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(b) or multiply(a, b))
+    kernel = MultiPoly.sum_of_products
+
+    def counting_kernel(pairs):
+        pairs = list(pairs)
+        products.extend(b for _, b in pairs if b is not None)
+        return kernel(pairs)
+
+    monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(counting_kernel))
     expand(spec, order)
     # Before step k the path is at a height h <= min(k - 1, order - k + 1).
     # With order - k steps left after it, the step may stay at h only when
@@ -91,6 +97,41 @@ def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch):
         (min(k - 1, order - k) + 1) + min(k - 1, order - k + 1) for k in range(1, order + 1)
     )
     assert len(products) == expected
+
+
+def naive_expand(spec, order):
+    """The continued fraction's series by a DP over every height, with plain
+    ``*`` and ``+``: no height is ever pruned."""
+    coeffs = [MultiPoly.one()]
+    state = {0: MultiPoly.one()}
+    for _ in range(order):
+        nxt = {}
+        for height, poly in state.items():
+            moves = [(height, poly * spec.gamma(height)), (height + 1, poly)]
+            if height:
+                moves.append((height - 1, poly * spec.lam(height)))
+            for target, weight in moves:
+                nxt[target] = nxt.get(target, MultiPoly.zero()) + weight
+        state = nxt
+        coeffs.append(state[0])
+    return coeffs
+
+
+def test_expansion_with_cancelling_coefficients_matches_a_naive_dp():
+    # every level and down step carries a factor 1 - q, so the products
+    # have terms of both signs, and at q = 1 every path but the empty one
+    # weighs 0
+    spec = JFractionSpec(
+        gamma=lambda h: (1 - Q) * (P + h * T**h),
+        lam=lambda h: (1 - Q**h) * S * T ** (2 * h - 1) - h * (Q - 1) * P,
+    )
+    series = expand(spec, 10)
+    naive = naive_expand(spec, 10)
+    for n in range(11):
+        assert series[n] == naive[n]
+        assert 0 not in series[n].terms().values()
+        assert series[n].substitute({"q": 1}) == (1 if n == 0 else 0)
+    assert any(coeff < 0 for coeff in series[10].terms().values())
 
 
 def test_depth_preset_order_three():

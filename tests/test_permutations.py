@@ -249,3 +249,14 @@ def test_group_items_are_permutations_like_the_constructors():
         assert sum(1 for _ in iter_group(n)) == math.factorial(n)
     with pytest.raises(dataclasses.FrozenInstanceError):
         next(iter_group(2)).images = (2, 1)
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_parsed_permutations_are_like_the_constructors(images):
+    # from_text checks every token itself and skips the constructor's check
+    perm = Permutation.from_text(" ".join(map(str, images)))
+    built = Permutation(tuple(images))
+    assert type(perm) is Permutation and type(perm.images) is tuple
+    assert perm == built and hash(perm) == hash(built) and repr(perm) == repr(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        perm.images = ()
