@@ -29,8 +29,10 @@ MultiPoly('0')
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
 #: Variable order used everywhere: exponent tuples are (eq, ep, es, et).
@@ -53,9 +55,20 @@ _GUARDS = sum(EXPONENT_LIMIT << shift for shift in _SHIFTS)
 _LOW_FIELDS = (1 << _SHIFT_Q) - 1  # the p, s and t fields of a key
 
 
-def _pack(mono: Monomial) -> int:
+def _check_shape(mono: Monomial) -> None:
     if len(mono) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in mono):
         raise ValueError(f"bad exponent tuple {mono!r}")
+
+
+def _shift(name: str) -> int:
+    """The bit offset of one variable's field in a packed key."""
+    if name not in VARIABLES:
+        raise ValueError(f"unknown variable {name!r}")
+    return _SHIFTS[VARIABLES.index(name)]
+
+
+def _pack(mono: Monomial) -> int:
+    _check_shape(mono)
     if max(mono) >= EXPONENT_LIMIT:
         raise ValueError(f"exponent tuple {mono!r} has an exponent >= {EXPONENT_LIMIT}")
     eq, ep, es, et = mono
@@ -76,6 +89,14 @@ def _wrap(terms: dict[int, int]) -> "MultiPoly":
     poly = MultiPoly.__new__(MultiPoly)
     poly._terms = terms
     return poly
+
+
+def _checked(terms: dict[int, int]) -> "MultiPoly":
+    """A polynomial owning ``terms``, which has no zero coefficients, once
+    every key has been checked."""
+    if terms and (min(terms) < 0 or max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
+        raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
+    return _wrap(terms)
 
 
 class MultiPoly:
@@ -134,12 +155,7 @@ class MultiPoly:
     @classmethod
     def from_packed(cls, terms: Mapping[int, int]) -> "MultiPoly":
         """The polynomial with the given packed-key -> coefficient map."""
-        cleaned = {key: coeff for key, coeff in terms.items() if coeff}
-        if cleaned and (
-            min(cleaned) < 0 or max(cleaned) >= _KEY_LIMIT or reduce(or_, cleaned) & _GUARDS
-        ):
-            raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
-        return _wrap(cleaned)
+        return _checked({key: coeff for key, coeff in terms.items() if coeff})
 
     # -- inspection ----------------------------------------------------
 
@@ -148,11 +164,10 @@ class MultiPoly:
         return {_unpack(key): coeff for key, coeff in self._terms.items()}
 
     def coefficient(self, exponents: Monomial) -> int:
-        try:
-            key = _pack(exponents)
-        except ValueError:
-            return 0  # no stored term has such an exponent tuple
-        return self._terms.get(key, 0)
+        _check_shape(exponents)
+        if max(exponents) >= EXPONENT_LIMIT:
+            return 0  # no stored term has such an exponent
+        return self._terms.get(_pack(exponents), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -174,7 +189,7 @@ class MultiPoly:
 
         Returns a map exponent -> polynomial in the remaining variables.
         """
-        shift = _SHIFTS[VARIABLES.index(name)]
+        shift = _shift(name)
         keep = ~(_FIELD_MASK << shift)
         layers: dict[int, dict[int, int]] = {}
         for key, coeff in self._terms.items():
@@ -284,11 +299,9 @@ class MultiPoly:
         fields = []
         keep = -1
         for name, value in assignment.items():
-            if name not in VARIABLES:
-                raise ValueError(f"unknown variable {name!r}")
+            shift = _shift(name)
             if not isinstance(value, int):
                 raise TypeError(f"substitution value {value!r} is not an integer")
-            shift = _SHIFTS[VARIABLES.index(name)]
             fields.append((shift, value))
             keep &= ~(_FIELD_MASK << shift)
         result: dict[int, int] = {}
@@ -303,6 +316,47 @@ class MultiPoly:
             else:
                 result.pop(reduced, None)
         return _wrap(result)
+
+    def unpack_q(self, width: int) -> "MultiPoly":
+        """The polynomial f with ``f.substitute({"q": 1 << width}) == self``.
+
+        That substitution packs the q-polynomial of each (p, s, t) class into
+        one integer, with one ``width``-bit slot per power of q, and sums and
+        products of packed polynomials stay packed.  This is its inverse,
+        exact whenever ``self`` has no q and every coefficient of f is below
+        2^(width - 1) in absolute value.  ``width`` is a multiple of 64.
+
+        >>> poly = 3 * Q**2 * S - Q * S + 5
+        >>> poly.substitute({"q": 1 << 64}).unpack_q(64) == poly
+        True
+        """
+        if width <= 0 or width % 64:
+            raise ValueError(f"slot width must be a positive multiple of 64, got {width!r}")
+        size = width // 8  # bytes per slot
+        half = 1 << (width - 1)  # biases each slot from [-half, half) to [0, 2 * half)
+        half_slot = half.to_bytes(size, "little")
+        terms: dict[int, int] = {}
+        for low, packed in self._terms.items():
+            if low >> _SHIFT_Q:
+                raise ValueError(f"{_monomial_text(low)} has a power of q")
+            zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
+            packed >>= zeros * width
+            if -half <= packed < half:  # a single power of q
+                terms[zeros << _SHIFT_Q | low] = packed
+                continue
+            count = packed.bit_length() // width + 1
+            raw = (packed + int.from_bytes(half_slot * count, "little")).to_bytes(
+                count * size, "little"
+            )
+            if size == 8:
+                slots = array("Q", raw)
+                if sys.byteorder == "big":
+                    slots.byteswap()
+            else:
+                slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+            keys = range(zeros << _SHIFT_Q | low, (zeros + count) << _SHIFT_Q, 1 << _SHIFT_Q)
+            terms.update(filter(itemgetter(1), zip(keys, map(half.__rsub__, slots))))
+        return _checked(terms)
 
     # -- comparison and rendering ---------------------------------------
 

@@ -17,6 +17,17 @@ the DP therefore holds at most min(k, order - k) + 1 heights, and every
 coefficient is exactly the full path sum.  Each spec carries its own
 ``max_order``, set from the measured cost of its expansion.
 
+The DP packs q (Kronecker substitution): it runs on gamma_h and lambda_h
+with q = 2^w substituted, so each state holds one integer per (p, s, t)
+class, and a product costs one C-level integer multiplication per pair of
+classes instead of one dict update per pair of terms.  Each z^n coefficient
+is unpacked with ``MultiPoly.unpack_q``.  A scalar run of the same DP bounds
+every coefficient and the q-exponents each state can hold first, which fixes
+w in whole 64-bit words.  A packed product costs in proportion to the width
+of its classes however few terms they hold, so a spec whose classes would
+span more than ``PACKED_WORDS_LIMIT`` words, or whose q-exponents leave a
+third or more of the slots empty, runs the DP on plain polynomials.
+
 Two coefficient presets are built in:
 
 * ``preset_depth``:    gamma_h = (2h+1) t^h,           lambda_h = h^2 t^(2h-1)
@@ -35,7 +46,8 @@ signed or specialised sum over S_n in the package is a substitution into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable
 
 from .algebra import MultiPoly, P, Q, S, T, q_integer
@@ -46,11 +58,22 @@ from .errors import check_size
 EXPANSION_ORDER_LIMIT = 30
 
 #: ``preset_refined`` is refused beyond this order.  ``expand --preset
-#: refined --order 22`` takes 21 s and 450 MB peak on a 2-vCPU guest under
-#: CPython 3.11; each +2 orders costs about 3x the time and 2x the memory,
-#: so order 24 would take over a minute.  ``preset_depth`` reaches the
-#: default bound in 0.1 s.
+#: refined --order 22 --format json`` takes 8.0 s and 430 MB peak on a
+#: 2-vCPU guest under CPython 3.11, and order 20 takes 2.2 s and 206 MB;
+#: at that growth order 24 would take about 30 s and 900 MB.
+#: ``preset_depth`` reaches the default bound in 0.1 s.
 REFINED_ORDER_LIMIT = 22
+
+#: ``expand`` packs q only while one packed (p, s, t) class spans at most
+#: this many 64-bit words: one slot per power of q up to the top q-degree,
+#: each of whole words.  ``preset_refined`` needs 92 words at order 14 and
+#: 464 at order 22.  A packed product costs in proportion to the width
+#: however few terms a class holds, so a spec whose classes each hold one
+#: power of q loses more the wider it packs: with gamma_h = P + sum_{i<m}
+#: q^i s^i and lambda_h = t (gamma_h - P) at order 12, packing takes 0.29 s
+#: against 0.065 s plain at m = 11 (121 words), 3.1 s against 0.18 s at
+#: m = 22 (253 words), and 46 s against 0.73 s at m = 43 (1,010 words).
+PACKED_WORDS_LIMIT = 512
 
 #: Sums over S_n are refused beyond this size.
 BRUTE_FORCE_LIMIT = 12
@@ -80,26 +103,93 @@ class SeriesTable:
 
 
 def expand(spec: JFractionSpec, order: int) -> SeriesTable:
-    """Series coefficients of the continued fraction through z^order."""
+    """Series coefficients of the continued fraction through z^order.
+
+    The DP runs on packed q-polynomials when ``_slot_width`` finds a width
+    within ``PACKED_WORDS_LIMIT``, and on plain ones otherwise; the
+    coefficients are the same either way.
+    """
     check_size(order, spec.max_order, "expansion is", name="order")
     max_height = order // 2
     gamma = [spec.gamma(h) for h in range(max_height + 1)]
     lam = [MultiPoly.zero()] + [spec.lam(h) for h in range(1, max_height + 1)]
+    width = _slot_width(gamma, lam, order)
+    if width:
+        packing = {"q": 1 << width}
+        gamma = [poly.substitute(packing) for poly in gamma]
+        lam = [poly.substitute(packing) for poly in lam]
 
     coeffs = [MultiPoly.one()]
-    state = [MultiPoly.one()]  # running height -> sum of prefix products
+    for state in _steps(MultiPoly.one(), gamma, lam, order, MultiPoly.sum_of_products):
+        coeffs.append(state[0].unpack_q(width) if width else state[0])
+    return SeriesTable(tuple(coeffs))
+
+
+def _steps(start, gamma, lam, order, combine):
+    """Yield the DP's state, running height -> value, after each step.
+
+    ``combine`` takes one height's (value, factor) pairs, where a factor of
+    ``None`` is the up step, and returns their sum of products.
+    """
+    state = [start]
     for left in reversed(range(order)):  # steps left after this one
         pairs: list[list] = [[] for _ in range(min(len(state), left) + 1)]  # by height
-        for height, poly in enumerate(state):
+        for height, value in enumerate(state):
             if height <= left:
-                pairs[height].append((poly, gamma[height]))
+                pairs[height].append((value, gamma[height]))
             if height + 1 <= left:
-                pairs[height + 1].append((poly, None))
+                pairs[height + 1].append((value, None))
             if height >= 1:
-                pairs[height - 1].append((poly, lam[height]))
-        state = [MultiPoly.sum_of_products(contributions) for contributions in pairs]
-        coeffs.append(state[0])
-    return SeriesTable(tuple(coeffs))
+                pairs[height - 1].append((value, lam[height]))
+        state = [combine(contributions) for contributions in pairs]
+        yield state
+
+
+def _slot_width(gamma: list[MultiPoly], lam: list[MultiPoly], order: int) -> int | None:
+    """The q-slot width in bits that packs ``expand``'s DP exactly, or
+    ``None`` when packing would not pay.
+
+    A scalar run of the same pruned DP carries, for each state, a bound on
+    its L1 norm (the sum of |coeff|) and the set of q-exponents its terms can
+    have, as a bit mask.  The largest norm, with those of gamma_h and
+    lambda_h, bounds every coefficient of every partial sum, so one slot of
+    that many bits plus a sign never carries into the next.  Packing is
+    refused when a class would span more than ``PACKED_WORDS_LIMIT`` words,
+    or when a third or more of the slots below the top q-degree can never
+    hold a term, as in a spec whose q-exponents are all multiples of 2.
+    """
+    bounds = []
+    for poly in gamma + lam:
+        terms = poly.terms()
+        if any(eq >= PACKED_WORDS_LIMIT for eq, *_ in terms):
+            return None  # past the cut already, and its mask could be huge
+        exponents = reduce(or_, (1 << eq for eq, *_ in terms), 0)
+        bounds.append((sum(map(abs, terms.values())), exponents))
+    factors = bounds[: len(gamma)], bounds[len(gamma) :]
+    for state in _steps((1, 1), *factors, order, _bound_sum):
+        bounds += state
+        if max(exponents for _, exponents in state).bit_length() > PACKED_WORDS_LIMIT:
+            return None
+    words = max(norm for norm, _ in bounds).bit_length() // 64 + 1
+    occupied = reduce(or_, (exponents for _, exponents in bounds))
+    slots = occupied.bit_length()
+    if slots * words > PACKED_WORDS_LIMIT or 3 * occupied.bit_count() <= 2 * slots:
+        return None
+    return 64 * words
+
+
+def _bound_sum(pairs: list[tuple[tuple[int, int], tuple[int, int] | None]]) -> tuple[int, int]:
+    """The norm bound and the q-exponent mask of a sum of products, from
+    those of its factors."""
+    norm = exponents = 0
+    for (a_norm, a_exponents), factor in pairs:
+        b_norm, b_exponents = factor or (1, 1)
+        norm += a_norm * b_norm
+        while b_exponents:  # one shifted copy of a's mask per exponent of b
+            lowest = b_exponents & -b_exponents
+            exponents |= a_exponents * lowest
+            b_exponents ^= lowest
+    return norm, exponents
 
 
 def preset_depth() -> JFractionSpec:

@@ -85,6 +85,20 @@ def test_substitute_rejects_unknown_variable():
         MultiPoly.one().substitute({"z": 1})
 
 
+def test_split_by_exponent_rejects_unknown_variable():
+    for poly in (MultiPoly.zero(), S * T):
+        with pytest.raises(ValueError, match="^unknown variable 'x'$"):
+            poly.split_by_exponent("x")
+
+
+def test_coefficient_rejects_a_malformed_exponent_tuple():
+    for mono in ((1, 0, 0), (0, 0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1.0, 0)):
+        with pytest.raises(ValueError, match="^bad exponent tuple"):
+            S.coefficient(mono)
+    assert S.coefficient((0, 0, 1, 0)) == 1
+    assert S.coefficient((0, 0, EXPONENT_LIMIT + 5, 0)) == 0
+
+
 @pytest.mark.parametrize("n, k, expected", [(4, 2, 6), (0, 0, 1), (3, 1, 3), (2, 5, 0)])
 def test_binomial_values(n, k, expected):
     assert binomial(n, k) == expected
@@ -318,3 +332,35 @@ def test_exponent_overflow_in_the_kernel_raises_instead_of_carrying():
             MultiPoly.sum_of_products([(variable, 2 * full)])
         # plain operands with full fields only add coefficients
         assert MultiPoly.sum_of_products([(full, None), (full, None)]) == 2 * full
+
+
+# -- packing the q-polynomial of each (p, s, t) class into one integer ---------
+
+# coefficients up to a slot's sign bit, for one-word and two-word slots
+slot_coeffs = st.integers(-(2**63) + 1, 2**63 - 1) | st.integers(-5, 5)
+packable_maps = st.dictionaries(
+    st.tuples(st.integers(0, 40), *[st.integers(0, 3)] * 3), slot_coeffs, max_size=8
+)
+
+
+@given(packable_maps, st.sampled_from([64, 128]))
+def test_unpack_q_inverts_the_packing_substitution(terms, width):
+    poly = MultiPoly(terms)
+    packed = poly.substitute({"q": 1 << width})
+    assert set(packed.split_by_exponent("q")) <= {0}
+    assert packed.unpack_q(width) == poly
+
+
+def test_unpack_q_reads_multi_word_slots_of_both_signs():
+    poly = 2**100 * Q**3 * S - (2**100 - 1) * Q * S + 7 - 3 * Q**9 * P
+    width = 192
+    assert poly.substitute({"q": 1 << width}).unpack_q(width) == poly
+
+
+def test_unpack_q_refuses_a_power_of_q_and_a_bad_width():
+    with pytest.raises(ValueError):
+        (Q * S).unpack_q(64)
+    for width in (0, 32, 100, -64):
+        with pytest.raises(ValueError):
+            S.unpack_q(width)
+

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from permotzkin.algebra import MultiPoly, P, Q, S, T
+from permotzkin import jfraction
+from permotzkin.algebra import EXPONENT_LIMIT, MultiPoly, P, Q, S, T, q_integer
 from permotzkin.errors import SizeLimitError
 from permotzkin.jfraction import (
     EXPANSION_ORDER_LIMIT,
@@ -75,28 +76,49 @@ def test_expansion_head_is_generic():
     assert series[2] == gamma0 * gamma0 + S
 
 
-def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch):
+@pytest.fixture
+def unpacked_widths(monkeypatch):
+    """The slot width of every packed DP state that ``expand`` unpacks: empty
+    when it runs the plain DP."""
+    widths = []
+    unpack = MultiPoly.unpack_q
+
+    def spy(poly, width):
+        widths.append(width)
+        return unpack(poly, width)
+
+    monkeypatch.setattr(MultiPoly, "unpack_q", spy)
+    return widths
+
+
+def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch, unpacked_widths):
     order = 9
-    gammas = [(h + 2) * Q**h + P for h in range(order)]
-    lams = [MultiPoly.zero()] + [(2 * h + 1) * S * T**h for h in range(1, order)]
-    spec = JFractionSpec(gamma=gammas.__getitem__, lam=lams.__getitem__)
-    products = []
-    kernel = MultiPoly.sum_of_products
-
-    def counting_kernel(pairs):
-        pairs = list(pairs)
-        products.extend(b for _, b in pairs if b is not None)
-        return kernel(pairs)
-
-    monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(counting_kernel))
-    expand(spec, order)
     # Before step k the path is at a height h <= min(k - 1, order - k + 1).
     # With order - k steps left after it, the step may stay at h only when
     # h <= order - k, and may go down from any h >= 1.
     expected = sum(
         (min(k - 1, order - k) + 1) + min(k - 1, order - k + 1) for k in range(1, order + 1)
     )
-    assert len(products) == expected
+    kernel = MultiPoly.sum_of_products
+    # a q gap of 2^16 puts the same products on the plain side of the cut
+    for gap, packed in ((1, True), (2**16, False)):
+        gammas = [(h + 2) * Q ** (h * gap) + P for h in range(order)]
+        lams = [MultiPoly.zero()] + [(2 * h + 1) * S * T**h for h in range(1, order)]
+        spec = JFractionSpec(gamma=gammas.__getitem__, lam=lams.__getitem__)
+        products = []
+
+        def counting_kernel(pairs):
+            pairs = list(pairs)
+            products.extend(b for _, b in pairs if b is not None)
+            return kernel(pairs)
+
+        unpacked_widths.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiPoly, "sum_of_products", staticmethod(counting_kernel))
+            series = expand(spec, order)
+        assert bool(unpacked_widths) == packed
+        assert len(products) == expected
+        assert list(series.coeffs) == naive_expand(spec, order)
 
 
 def naive_expand(spec, order):
@@ -132,6 +154,55 @@ def test_expansion_with_cancelling_coefficients_matches_a_naive_dp():
         assert 0 not in series[n].terms().values()
         assert series[n].substitute({"q": 1}) == (1 if n == 0 else 0)
     assert any(coeff < 0 for coeff in series[10].terms().values())
+
+
+def test_multi_word_slots_with_mixed_signs_match_a_naive_dp(unpacked_widths):
+    spec = JFractionSpec(
+        gamma=lambda h: 2**70 * (1 - Q) * P + h * T**h,
+        lam=lambda h: (1 - Q**h) * S * T ** (2 * h - 1) - 2**70 * h * (Q - 1) * P,
+    )
+    series = expand(spec, 10)
+    assert unpacked_widths and min(unpacked_widths) > 64
+    assert list(series.coeffs) == naive_expand(spec, 10)
+    coeffs = series[10].terms().values()
+    assert min(coeffs) < -(2**64) and max(coeffs) > 2**64
+
+
+def test_a_q_gapped_spec_takes_the_plain_dp(unpacked_widths):
+    # Every q-exponent is a multiple of the gap, so at most one slot in gap
+    # could ever hold a term.  At 2^16 a packed class would also span over a
+    # million slots; at 2 and 16 it would fit below PACKED_WORDS_LIMIT.
+    for gap in (2, 16, 2**16):
+        spec = JFractionSpec(
+            gamma=lambda h: 1 + Q**gap * P + h * T, lam=lambda h: S * Q ** (h * gap) + T
+        )
+        series = expand(spec, 12)
+        assert unpacked_widths == []
+        assert list(series.coeffs) == naive_expand(spec, 12)
+        assert series[12].coefficient((6 * gap, 0, 6, 0)) == 1  # (UD)^6 alone
+
+
+def test_a_spec_that_packs_wider_than_the_cut_takes_the_plain_dp(monkeypatch, unpacked_widths):
+    # each factor has q-degree 64, well below the cut, but after 9 steps a
+    # state reaches q^576: 577 one-word slots, all of which can hold a term
+    spec = JFractionSpec(gamma=lambda h: q_integer(65) + P, lam=lambda h: S * T)
+    plain = expand(spec, 9)
+    assert unpacked_widths == []
+    monkeypatch.setattr(jfraction, "PACKED_WORDS_LIMIT", 577)
+    assert expand(spec, 9) == plain
+    assert unpacked_widths == [64] * 9
+
+
+def test_exponent_overflow_raises_on_both_sides_of_the_cut(unpacked_widths):
+    overflowing = MultiPoly.monomial((0, 0, 0, EXPONENT_LIMIT // 2))
+    packed = JFractionSpec(gamma=lambda h: P + overflowing, lam=lambda h: S)
+    with pytest.raises(ValueError):
+        expand(packed, 2)
+    assert unpacked_widths == [64]  # step 1 unpacked, step 2 overflows t
+    plain = JFractionSpec(gamma=lambda h: P + Q ** (EXPONENT_LIMIT // 2), lam=lambda h: S)
+    with pytest.raises(ValueError):
+        expand(plain, 2)
+    assert unpacked_widths == [64]
 
 
 def test_depth_preset_order_three():
