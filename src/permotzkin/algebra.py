@@ -131,9 +131,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        index = VARIABLES.index(name)
-        mono = tuple(1 if i == index else 0 for i in range(len(VARIABLES)))
-        return cls({mono: 1})
+        return cls.monomial(_unpack(1 << _shift(name)))
 
     @classmethod
     def monomial(cls, exponents: Monomial, coeff: int = 1) -> "MultiPoly":

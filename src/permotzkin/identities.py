@@ -12,8 +12,8 @@ depth, weighted by (-1)^inv:
       z^(k+1+i) ) t^k
 
   whose z^n coefficients must agree with it.  ``derangement_table_row``
-  compares the t-layers of one computed polynomial against a row of frozen
-  anchor cells, each of the factored form c * s^a * (1+s)^b.
+  compares them t-layer by t-layer: the cell of t^k in row n is the one
+  term with k + 1 + i = n, (-1)^k C(k-1, i) s^(1+i) (1+s)^(k-1-i).
 
 Both signed sums are substitutions into the joint distribution
 ``jfraction.brute_force_gf``: q -> -1 turns q^inv into the sign, p -> 1 sums
@@ -25,40 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MultiPoly, S, T, binomial
-from .errors import check_size
+from .errors import LIMITS, check_size
 from .jfraction import SeriesTable, brute_force_gf
-
-#: Series assembly is refused beyond this order.
-SERIES_ORDER_LIMIT = 30
-
-#: Rows covered by the anchor table.
-TABLE_RANGE = range(2, 10)
-
-# Anchor cells (n, t_power) -> (c, a, b) meaning c * s^a * (1+s)^b.  Each is
-# cross-checked in the tests against both the enumerated polynomials and the
-# closed series.
-_ANCHOR_CELLS: dict[tuple[int, int], tuple[int, int, int]] = {
-    (2, 1): (-1, 1, 0),
-    (3, 2): (1, 1, 1),
-    (4, 2): (1, 2, 0),
-    (4, 3): (-1, 1, 2),
-    (5, 3): (-2, 2, 1),
-    (5, 4): (1, 1, 3),
-    (6, 3): (-1, 3, 0),
-    (6, 4): (3, 2, 2),
-    (6, 5): (-1, 1, 4),
-    (7, 4): (3, 3, 1),
-    (7, 5): (-4, 2, 3),
-    (7, 6): (1, 1, 5),
-    (8, 4): (1, 4, 0),
-    (8, 5): (-6, 3, 2),
-    (8, 6): (5, 2, 4),
-    (8, 7): (-1, 1, 6),
-    (9, 5): (-4, 4, 1),
-    (9, 6): (10, 3, 3),
-    (9, 7): (-6, 2, 5),
-    (9, 8): (1, 1, 7),
-}
 
 
 def signed_gf_permutations(n: int) -> MultiPoly:
@@ -81,7 +49,7 @@ def derangement_series_rhs(order: int) -> SeriesTable:
     Only the pairs (k, i) with k + 1 + i = n and 0 <= i <= k - 1 contribute
     to the coefficient of z^n, so each entry is a finite exact sum.
     """
-    check_size(order, SERIES_ORDER_LIMIT, "series assembly is", name="order")
+    check_size(order, "series-assembly")
 
     def cell(k: int, i: int) -> MultiPoly:
         return (-1) ** k * binomial(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i) * T**k
@@ -89,36 +57,6 @@ def derangement_series_rhs(order: int) -> SeriesTable:
     # i <= k - 1 = n - 2 - i holds exactly for i < n // 2
     coeffs = (MultiPoly.sum(cell(n - 1 - i, i) for i in range(n // 2)) for n in range(order + 1))
     return SeriesTable(tuple(coeffs))
-
-
-def anchor_cell(n: int, t_power: int) -> MultiPoly:
-    """The anchor cell for (n, t_power), expanded; zero for blank cells."""
-    entry = _ANCHOR_CELLS.get((n, t_power))
-    if entry is None:
-        return MultiPoly.zero()
-    c, a, b = entry
-    return c * S**a * (1 + S) ** b
-
-
-def anchor_cell_text(n: int, t_power: int) -> str:
-    """The anchor cell in its factored form, e.g. ``-4*s^4*(1+s)``."""
-    entry = _ANCHOR_CELLS.get((n, t_power))
-    if entry is None:
-        return "0"
-    c, a, b = entry
-    parts = []
-    if c == -1:
-        head = "-"
-    elif c == 1:
-        head = ""
-    else:
-        head = str(c) + "*"
-    parts.append(f"s^{a}" if a > 1 else "s")
-    if b == 1:
-        parts.append("(1+s)")
-    elif b > 1:
-        parts.append(f"(1+s)^{b}")
-    return head + "*".join(parts)
 
 
 @dataclass(frozen=True)
@@ -134,13 +72,19 @@ class TableCell:
 
 
 def derangement_table_row(n: int) -> list[TableCell]:
-    """Compare the t-layers of the signed derangement polynomial of n
-    against row n of the anchor table, cell for cell."""
-    layers = derangement_signed_gf(n).split_by_exponent("t")
-    powers = sorted(set(layers) | {k for (m, k) in _ANCHOR_CELLS if m == n})
-    return [TableCell(n, k, anchor_cell(n, k), layers.get(k, MultiPoly.zero())) for k in powers]
+    """Compare the t-layers of the signed derangement polynomial of n with
+    those of the closed series' z^n coefficient, cell for cell."""
+    computed = derangement_signed_gf(n).split_by_exponent("t")
+    expected = derangement_series_rhs(n)[n].split_by_exponent("t")
+    zero = MultiPoly.zero()
+    return [
+        TableCell(n, k, expected.get(k, zero), computed.get(k, zero))
+        for k in sorted(computed.keys() | expected.keys())
+    ]
 
 
 def derangement_table_report() -> list[TableCell]:
-    """Every row of the anchor table, for n in 2..9."""
-    return [cell for n in TABLE_RANGE for cell in derangement_table_row(n)]
+    """Rows 2 .. ``LIMITS["derangement-table"]`` of the table.  No command calls it;
+    it stays, with its ``TableCell`` records, because perfbench's metrics name it."""
+    last = LIMITS["derangement-table"].bound
+    return [cell for n in range(2, last + 1) for cell in derangement_table_row(n)]

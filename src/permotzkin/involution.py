@@ -43,22 +43,9 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SizeLimitError, check_size
-from .jfraction import BRUTE_FORCE_LIMIT, brute_force_gf
+from .errors import LIMITS, SizeLimitError, check_size
+from .jfraction import brute_force_gf
 from .permutations import Permutation, image_stats
-
-#: Euler-number tables are refused beyond this index.
-EULER_LIMIT = 50
-
-#: The pairing tables are refused beyond this size (they cover all of S_n).
-#: ``_pairing(n)`` is one C int per permutation: 161 KB at n = 8, 1.4 MB at
-#: n = 9.  Building it takes 0.04 s at n = 8 and 0.40 s at n = 9, peaking 0.4
-#: and 3.4 MB above the interpreter (in-process, Python 3.11.7, 2 vCPUs);
-#: n = 10 would take about ten times as long.
-INVOLUTION_LIMIT = 9
-
-#: Signed sums over S_n are refused beyond this size.
-IMBALANCE_LIMIT = BRUTE_FORCE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -80,10 +67,11 @@ def euler_numbers(limit: int) -> EulerTable:
     >>> euler_numbers(8).values
     (1, 1, 1, 2, 5, 16, 61, 272, 1385)
     """
+    bound, what, name = LIMITS["euler"]
     if limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    if limit > EULER_LIMIT:
-        raise SizeLimitError(f"Euler table is limited to {EULER_LIMIT} entries")
+        raise ValueError(f"{name} must be non-negative, got {limit}")
+    if limit > bound:
+        raise SizeLimitError(f"{what} limited to {bound} entries")
     values = [1]
     row = [1]
     for n in range(1, limit + 1):
@@ -97,13 +85,13 @@ def euler_numbers(limit: int) -> EulerTable:
 
 def sign_imbalance_depth(n: int) -> int:
     """sum over S_n of (-1)^depth: E_n for odd n, 0 for even n."""
-    check_size(n, IMBALANCE_LIMIT, "sign imbalance is")
+    check_size(n, "sign-imbalance")
     return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": 1, "t": -1}).constant_value()
 
 
 def sign_imbalance_exc(n: int) -> int:
     """sum over S_n of (-1)^exc: (-1)^((n-1)/2) E_n for odd n, 0 for even n."""
-    check_size(n, IMBALANCE_LIMIT, "sign imbalance is")
+    check_size(n, "sign-imbalance")
     return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": -1, "t": 1}).constant_value()
 
 
@@ -167,5 +155,5 @@ def parity_reversing_involution(perm: Permutation) -> Permutation:
     inv, exc and depth all change by the same delta in {+1, 0, -1}, and
     delta = 0 exactly on fixed points.
     """
-    check_size(perm.n, INVOLUTION_LIMIT, "involution tables are")
+    check_size(perm.n, "involution")
     return Permutation(_unrank(_pairing(perm.n)[_rank(perm.images)], perm.n))

@@ -15,7 +15,7 @@ heights h <= order - k are kept: the gamma_h product is skipped when h
 exceeds the steps left, and so is the up step when h + 1 does.  After step k
 the DP therefore holds at most min(k, order - k) + 1 heights, and every
 coefficient is exactly the full path sum.  Each spec carries its own
-``max_order``, set from the measured cost of its expansion.
+``max_order``; its values, with their measured costs, are in ``errors.LIMITS``.
 
 The DP packs q (Kronecker substitution): it runs on gamma_h and lambda_h
 with q = 2^w substituted, so each state holds one integer per (p, s, t)
@@ -51,18 +51,7 @@ from operator import or_
 from typing import Callable
 
 from .algebra import MultiPoly, P, Q, S, T, q_integer
-from .errors import check_size
-
-#: Series expansion of a spec without its own bound is refused beyond this
-#: order.
-EXPANSION_ORDER_LIMIT = 30
-
-#: ``preset_refined`` is refused beyond this order.  ``expand --preset
-#: refined --order 22 --format json`` takes 8.0 s and 430 MB peak on a
-#: 2-vCPU guest under CPython 3.11, and order 20 takes 2.2 s and 206 MB;
-#: at that growth order 24 would take about 30 s and 900 MB.
-#: ``preset_depth`` reaches the default bound in 0.1 s.
-REFINED_ORDER_LIMIT = 22
+from .errors import LIMITS, check_size
 
 #: ``expand`` packs q only while one packed (p, s, t) class spans at most
 #: this many 64-bit words: one slot per power of q up to the top q-degree,
@@ -75,9 +64,6 @@ REFINED_ORDER_LIMIT = 22
 #: m = 22 (253 words), and 46 s against 0.73 s at m = 43 (1,010 words).
 PACKED_WORDS_LIMIT = 512
 
-#: Sums over S_n are refused beyond this size.
-BRUTE_FORCE_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class JFractionSpec:
@@ -86,7 +72,7 @@ class JFractionSpec:
     gamma: Callable[[int], MultiPoly]
     lam: Callable[[int], MultiPoly]
     #: ``expand`` refuses orders beyond this.
-    max_order: int = EXPANSION_ORDER_LIMIT
+    max_order: int = LIMITS["expansion"].bound
 
 
 @dataclass(frozen=True)
@@ -109,7 +95,7 @@ def expand(spec: JFractionSpec, order: int) -> SeriesTable:
     within ``PACKED_WORDS_LIMIT``, and on plain ones otherwise; the
     coefficients are the same either way.
     """
-    check_size(order, spec.max_order, "expansion is", name="order")
+    check_size(order, "expansion", spec.max_order)
     max_height = order // 2
     gamma = [spec.gamma(h) for h in range(max_height + 1)]
     lam = [MultiPoly.zero()] + [spec.lam(h) for h in range(1, max_height + 1)]
@@ -206,7 +192,7 @@ def preset_refined() -> JFractionSpec:
     return JFractionSpec(
         gamma=lambda h: ((1 + S) * q_integer(h) + P * Q**h) * qt**h,
         lam=lambda h: S * q_integer(h) ** 2 * qt ** (2 * h - 1),
-        max_order=REFINED_ORDER_LIMIT,
+        max_order=LIMITS["refined-expansion"].bound,
     )
 
 
@@ -225,7 +211,7 @@ def brute_force_gf(n: int) -> MultiPoly:
     >>> str(brute_force_gf(2))
     'q*s*t + p^2'
     """
-    check_size(n, BRUTE_FORCE_LIMIT, "brute force is")
+    check_size(n, "brute-force")
     return _subset_tally(n)
 
 

@@ -45,9 +45,6 @@ from typing import Iterable, Iterator
 from .algebra import Monomial, MultiPoly
 from .errors import InvalidPathError, ParseError, check_size
 
-#: Exhaustive path enumeration is refused beyond this length.
-PATH_ENUMERATION_LIMIT = 10
-
 
 class StepKind(enum.Enum):
     U = "U"
@@ -280,7 +277,7 @@ def enumerate_weighted(n: int) -> Iterator[WeightedMotzkinPath]:
     Deterministic order: depth-first by position, trying U, D, H1, H2, H3
     with ascending choice indices.
     """
-    check_size(n, PATH_ENUMERATION_LIMIT, "path enumeration is")
+    check_size(n, "path-enumeration")
     if n == 0:
         yield _flat_path((), (), ())
         return

@@ -30,12 +30,6 @@ from typing import Iterator
 
 from .errors import ParseError, check_size
 
-#: Enumerating all of S_n or D_n is refused beyond this size.
-GROUP_ENUMERATION_LIMIT = 12
-
-#: The shortest-path recomputation of depth is refused beyond this size.
-FACTORIZATION_SEARCH_LIMIT = 7
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -45,7 +39,8 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        # the type test comes first: 1.0 and True sort and compare as 1 does
+        if not {*map(type, self.images)} <= {int} or sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"{self.images!r} is not a permutation of 1..{n}")
 
     @property
@@ -171,7 +166,7 @@ def _min_transposition_cost(n: int) -> dict[tuple[int, ...], int]:
 
 def depth_via_factorization(perm: Permutation) -> int:
     """depth recomputed as the minimum total span of a transposition product."""
-    check_size(perm.n, FACTORIZATION_SEARCH_LIMIT, "factorization search is")
+    check_size(perm.n, "factorization-search")
     return _min_transposition_cost(perm.n)[perm.images]
 
 
@@ -184,7 +179,7 @@ def _trusted(images: tuple[int, ...]) -> Permutation:
 
 def iter_group(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order."""
-    check_size(n, GROUP_ENUMERATION_LIMIT, "enumeration is")
+    check_size(n, "enumeration")
     yield from map(_trusted, itertools.permutations(range(1, n + 1)))
 
 
@@ -194,7 +189,7 @@ def iter_derangements(n: int) -> Iterator[Permutation]:
     Backtracks position by position instead of filtering S_n, which prunes
     roughly an e-fold factor of the search space.
     """
-    check_size(n, GROUP_ENUMERATION_LIMIT, "enumeration is")
+    check_size(n, "enumeration")
     used = [False] * (n + 1)
     images: list[int] = []
 

@@ -6,9 +6,10 @@ the expected and computed texts are identical.
 
 ``CHECK_TABLE`` is the battery: it maps each check name to a function of
 one n, which returns the expected and computed texts for that n, and to the
-n it covers for a given ``max_n``.  That table is the only place a range is
-written.  One runner times each n, including all the work behind it, and
-builds its ``ReportRecord``; ``CHECKS`` holds one runner per name.
+n it covers for a given ``max_n``: from its first n through an entry of
+``errors.LIMITS``, where every last n is written.  One runner times each n,
+including all the work behind it, and builds its ``ReportRecord``;
+``CHECKS`` holds one runner per name.
 
 The S_n walks do each permutation's work once.  ``bijection`` validates
 each image once, in ``motzkin.path_exponents``, which also sums its weight,
@@ -32,12 +33,9 @@ from typing import Callable
 
 from . import bijection, identities, involution, jfraction, motzkin
 from .algebra import MultiPoly, P, Q, S, T, q_integer
-from .errors import check_size
+from .errors import LIMITS, check_size
 from .motzkin import StepKind, WeightedStep
 from .permutations import Permutation, depth, depth_via_factorization, image_stats, iter_group
-
-#: verify is refused beyond this bound.
-VERIFY_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -172,26 +170,29 @@ def _depth_min_cost(n: int) -> tuple[str, str]:
     return expected, expected
 
 
-def _through(first: int, last: int = VERIFY_LIMIT) -> Callable[[int], range]:
-    """n = first .. last, and none above ``max_n``."""
-    return lambda max_n: range(first, min(last, max_n) + 1)
+def _through(first: int, last: str = "verify") -> Callable[[int], range]:
+    """n = first .. the bound of ``LIMITS[last]``, and none above ``max_n``."""
+    return lambda max_n: range(first, min(LIMITS[last].bound, max_n) + 1)
 
 
 #: name -> (the check of one n, returning its expected and computed texts;
 #: the n it covers for a given ``max_n``).
 CHECK_TABLE: dict[str, tuple[Callable[[int], tuple[str, str]], Callable[[int], range]]] = {
-    "bijection": (_bijection, _through(0, 8)),
-    "cardinality": (_cardinality, _through(0, 8)),
-    "refined-cf": (_refined_cf, _through(0, 8)),
+    "bijection": (_bijection, _through(0, "verify-walks")),
+    "cardinality": (_cardinality, _through(0, "verify-walks")),
+    "refined-cf": (_refined_cf, _through(0, "verify-walks")),
     "depth-cf": (_depth_cf, _through(0)),
     "imbalance-depth": (_imbalance_depth, _through(1)),
     "imbalance-exc": (_imbalance_exc, _through(1)),
-    "involution": (_involution, _through(1, 8)),
+    "involution": (_involution, _through(1, "verify-walks")),
     "signed-gf": (_signed_gf, _through(1)),
     "derangement-series": (_derangement_series, _through(1)),
-    "derangement-table": (_derangement_table, lambda max_n: identities.TABLE_RANGE),
-    "level-weights": (_level_weights, _through(0, 6)),
-    "depth-min-cost": (_depth_min_cost, _through(0, 6)),
+    "derangement-table": (
+        _derangement_table,
+        lambda max_n: range(2, LIMITS["derangement-table"].bound + 1),
+    ),
+    "level-weights": (_level_weights, _through(0, "verify-small")),
+    "depth-min-cost": (_depth_min_cost, _through(0, "verify-small")),
 }
 
 
@@ -217,7 +218,7 @@ CHECKS = {name: _runner(name) for name in CHECK_TABLE}
 
 def run_checks(names: list[str] | None = None, max_n: int = 6) -> list[ReportRecord]:
     """Run the named checks (all by default) and return sorted records."""
-    check_size(max_n, VERIFY_LIMIT, "verify is", name="max_n")
+    check_size(max_n, "verify")
     selected = list(CHECKS) if not names else names
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:

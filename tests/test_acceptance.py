@@ -8,7 +8,6 @@ import time
 from permotzkin.algebra import MultiPoly, P, Q, S, T, q_integer
 from permotzkin.bijection import decode, encode
 from permotzkin.identities import (
-    anchor_cell,
     derangement_series_rhs,
     derangement_signed_gf,
     derangement_table_report,
@@ -134,9 +133,9 @@ def test_criterion_7_derangement_series_and_table():
     cells = derangement_table_report()
     assert cells and all(cell.matches for cell in cells)
     nine = derangement_signed_gf(9).split_by_exponent("t")
-    assert nine[5] == -4 * S**4 * (1 + S) == anchor_cell(9, 5)
+    assert nine[5] == -4 * S**4 * (1 + S) == series[9].split_by_exponent("t")[5]
     eight = derangement_signed_gf(8).split_by_exponent("t")
-    assert eight[4] == S**4 == anchor_cell(8, 4)
+    assert eight[4] == S**4 == series[8].split_by_exponent("t")[4]
 
 
 @criterion("8 cardinality, level weights, and depth cross-checks")

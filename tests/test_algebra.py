@@ -91,6 +91,12 @@ def test_split_by_exponent_rejects_unknown_variable():
             poly.split_by_exponent("x")
 
 
+def test_variable_rejects_unknown_name():
+    with pytest.raises(ValueError, match="^unknown variable 'x'$"):
+        MultiPoly.variable("x")
+    assert [MultiPoly.variable(name) for name in VARIABLES] == [Q, P, S, T]
+
+
 def test_coefficient_rejects_a_malformed_exponent_tuple():
     for mono in ((1, 0, 0), (0, 0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1.0, 0)):
         with pytest.raises(ValueError, match="^bad exponent tuple"):

@@ -11,7 +11,7 @@ import pytest
 
 from permotzkin import cli, verify
 from permotzkin.cli import main
-from permotzkin.jfraction import REFINED_ORDER_LIMIT
+from permotzkin.errors import LIMITS
 from permotzkin.permutations import Permutation, image_stats
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -106,9 +106,8 @@ def test_expand_guard_exit_code(capsys):
 
 
 def test_expand_refined_guard_exit_code(capsys):
-    code, out, err = run(
-        capsys, "expand", "--preset", "refined", "--order", str(REFINED_ORDER_LIMIT + 1)
-    )
+    order = str(LIMITS["refined-expansion"].bound + 1)
+    code, out, err = run(capsys, "expand", "--preset", "refined", "--order", order)
     assert code == 2
     assert out == ""
     assert "limited" in err

@@ -1,11 +1,13 @@
 """Exact exception types and messages of every size guard, in the library
 and on the command line."""
 
+import functools
+
 import pytest
 
 from permotzkin import identities, involution, jfraction, motzkin, permutations, verify
 from permotzkin.cli import main
-from permotzkin.errors import SizeLimitError
+from permotzkin.errors import LIMITS, SizeLimitError, check_size
 from permotzkin.permutations import Permutation
 
 NEGATIVE_N = (ValueError, "n must be non-negative, got -1")
@@ -110,6 +112,29 @@ def test_size_guard_type_and_message(guard):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def refusal_at_bound_plus_one(key):
+    """The message with which entry ``key`` refuses its bound + 1, having
+    accepted the bound itself."""
+    if key == "euler":  # the one guard that words its own refusal
+        guard = involution.euler_numbers
+    else:
+        guard = functools.partial(check_size, limit=key)
+    bound = LIMITS[key].bound
+    guard(bound)
+    with pytest.raises(SizeLimitError) as info:
+        guard(bound + 1)
+    return str(info.value)
+
+
+def test_every_enforced_bound_has_its_refusal_pinned_and_every_pin_an_entry():
+    # A bound can then appear or move only with a rejection test beside it.
+    enforced = [key for key, entry in LIMITS.items() if entry.what]
+    refusals = {refusal_at_bound_plus_one(key): key for key in enforced}
+    assert len(refusals) == len(enforced)
+    pinned = {message for _, error, message in GUARDS.values() if error is SizeLimitError}
+    assert set(refusals) == pinned
 
 
 # command line -> the message printed after "error: " on stderr, exit code 2

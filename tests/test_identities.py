@@ -2,11 +2,9 @@ from collections import Counter
 
 import pytest
 
-from permotzkin.algebra import MultiPoly, S, T
+from permotzkin.algebra import MultiPoly, S, T, binomial
 from permotzkin.errors import SizeLimitError
 from permotzkin.identities import (
-    anchor_cell,
-    anchor_cell_text,
     derangement_series_rhs,
     derangement_signed_gf,
     derangement_table_report,
@@ -74,13 +72,20 @@ def test_series_guard():
         derangement_series_rhs(31)
 
 
-def test_anchor_cells():
-    assert anchor_cell(6, 4) == 3 * S**2 * (1 + S) ** 2
-    assert anchor_cell(8, 4) == S**4
-    assert anchor_cell(5, 2) == MultiPoly.zero()
-    assert anchor_cell_text(9, 5) == "-4*s^4*(1+s)"
-    assert anchor_cell_text(8, 4) == "s^4"
-    assert anchor_cell_text(5, 2) == "0"
+def test_series_cells_are_the_brute_force_t_layers():
+    # the cell of t^k in row n is the series term with k + 1 + i = n
+    cells = 0
+    for n in range(2, 10):
+        layers = derangement_signed_gf(n).split_by_exponent("t")
+        formula = {}
+        for k in range(1, n):
+            i = n - 1 - k
+            if i <= k - 1:
+                formula[k] = (-1) ** k * binomial(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i)
+        assert layers == formula
+        cells += len(formula)
+    assert cells == 20
+    assert derangement_signed_gf(6).split_by_exponent("t")[4] == 3 * S**2 * (1 + S) ** 2
 
 
 def test_table_report_matches_everywhere():

@@ -6,10 +6,8 @@ import pytest
 
 from permotzkin import jfraction
 from permotzkin.algebra import EXPONENT_LIMIT, MultiPoly, P, Q, S, T, q_integer
-from permotzkin.errors import SizeLimitError
+from permotzkin.errors import LIMITS, SizeLimitError
 from permotzkin.jfraction import (
-    EXPANSION_ORDER_LIMIT,
-    REFINED_ORDER_LIMIT,
     JFractionSpec,
     brute_force_depth_gf,
     brute_force_gf,
@@ -253,9 +251,10 @@ def test_expand_guard():
     with pytest.raises(SizeLimitError):
         expand(preset_depth(), 31)
     with pytest.raises(SizeLimitError):
-        expand(preset_refined(), REFINED_ORDER_LIMIT + 1)
+        expand(preset_refined(), 23)
     custom = JFractionSpec(gamma=lambda h: MultiPoly.one(), lam=lambda h: MultiPoly.one())
-    assert custom.max_order == preset_depth().max_order == EXPANSION_ORDER_LIMIT == 30
+    assert custom.max_order == preset_depth().max_order == LIMITS["expansion"].bound == 30
+    assert preset_refined().max_order == LIMITS["refined-expansion"].bound == 22
     with pytest.raises(SizeLimitError):
         expand(custom, 31)
     with pytest.raises(ValueError):

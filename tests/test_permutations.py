@@ -232,7 +232,10 @@ def test_constructor_rejects_non_bijection():
         Permutation((1, 1))
 
 
-@pytest.mark.parametrize("images", [(2, 3), (0,), (1, 2, 2)])
+# 1.0 and True compare equal to 1, so only a type test refuses the last four
+@pytest.mark.parametrize(
+    "images", [(2, 3), (0,), (1, 2, 2), (1.0, 2.0), (True,), (2, True), (1, 2.0, 3)]
+)
 def test_constructor_still_checks_its_input(images):
     with pytest.raises(ValueError, match="is not a permutation of"):
         Permutation(images)
