@@ -13,7 +13,6 @@ from .identities import (
     signed_gf_permutations,
 )
 from .involution import (
-    EulerTable,
     euler_numbers,
     parity_reversing_involution,
     sign_imbalance_depth,
@@ -21,7 +20,6 @@ from .involution import (
 )
 from .jfraction import (
     JFractionSpec,
-    SeriesTable,
     brute_force_depth_gf,
     brute_force_gf,
     expand,
@@ -32,7 +30,6 @@ from .motzkin import (
     StepKind,
     WeightedMotzkinPath,
     WeightedStep,
-    area,
     enumerate_weighted,
     path_exponents,
     path_weight,
@@ -55,7 +52,6 @@ from .permutations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EulerTable",
     "InvalidPathError",
     "JFractionSpec",
     "MultiPoly",
@@ -64,13 +60,11 @@ __all__ = [
     "Permutation",
     "Q",
     "S",
-    "SeriesTable",
     "SizeLimitError",
     "StepKind",
     "T",
     "WeightedMotzkinPath",
     "WeightedStep",
-    "area",
     "binomial",
     "brute_force_depth_gf",
     "brute_force_gf",

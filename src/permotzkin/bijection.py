@@ -46,7 +46,7 @@ from .motzkin import (
     KIND_U,
     WeightedMotzkinPath,
     _flat_path,
-    ensure_valid,
+    path_exponents,
 )
 from .permutations import Permutation
 
@@ -128,5 +128,5 @@ def _decode_images(path: WeightedMotzkinPath) -> tuple[int, ...]:
 
 def decode(path: WeightedMotzkinPath) -> Permutation:
     """Invert :func:`encode`; rejects invalid paths."""
-    ensure_valid(path)
+    path_exponents(path)
     return Permutation(_decode_images(path))

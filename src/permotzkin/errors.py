@@ -26,7 +26,7 @@ class Limit(NamedTuple):
 #: Every bound that refuses or caps an input, with the measured cost behind
 #: it (CPython 3.11.7, 2 vCPUs, in-process after import unless marked CLI).
 LIMITS: dict[str, Limit] = {
-    # iter_group, iter_derangements: S_10 streams in 2.5 s, D_10 in 6.4 s, ~n times more per n
+    # iter_group, iter_derangements (S_n filtered): S_10 3.3 s, D_10 3.1 s, ~n times more per n
     "enumeration": Limit(12, "enumeration is"),
     # depth_via_factorization: the search over S_7 takes 0.07 s, over S_8 1.0 s
     "factorization-search": Limit(7, "factorization search is"),

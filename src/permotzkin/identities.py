@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import MultiPoly, S, T, binomial
 from .errors import LIMITS, check_size
-from .jfraction import SeriesTable, brute_force_gf
+from .jfraction import brute_force_gf
 
 
 def signed_gf_permutations(n: int) -> MultiPoly:
@@ -43,7 +43,7 @@ def derangement_signed_gf(n: int) -> MultiPoly:
     return brute_force_gf(n).substitute({"q": -1, "p": 0})
 
 
-def derangement_series_rhs(order: int) -> SeriesTable:
+def derangement_series_rhs(order: int) -> tuple[MultiPoly, ...]:
     """z^n coefficients of the closed signed derangement series, n <= order.
 
     Only the pairs (k, i) with k + 1 + i = n and 0 <= i <= k - 1 contribute
@@ -55,8 +55,7 @@ def derangement_series_rhs(order: int) -> SeriesTable:
         return (-1) ** k * binomial(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i) * T**k
 
     # i <= k - 1 = n - 2 - i holds exactly for i < n // 2
-    coeffs = (MultiPoly.sum(cell(n - 1 - i, i) for i in range(n // 2)) for n in range(order + 1))
-    return SeriesTable(tuple(coeffs))
+    return tuple(MultiPoly.sum(cell(n - 1 - i, i) for i in range(n // 2)) for n in range(order + 1))
 
 
 @dataclass(frozen=True)

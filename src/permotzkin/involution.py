@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import LIMITS, SizeLimitError, check_size
@@ -48,23 +47,11 @@ from .jfraction import brute_force_gf
 from .permutations import Permutation, image_stats
 
 
-@dataclass(frozen=True)
-class EulerTable:
-    """values[n] = E_n = n! * [z^n] (tan z + sec z)."""
+def euler_numbers(limit: int) -> tuple[int, ...]:
+    """E_0 .. E_limit, entry n being E_n = n! * [z^n] (tan z + sec z), by the
+    boustrophedon (zigzag triangle) recurrence.
 
-    values: tuple[int, ...]
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def euler_numbers(limit: int) -> EulerTable:
-    """E_0 .. E_limit by the boustrophedon (zigzag triangle) recurrence.
-
-    >>> euler_numbers(8).values
+    >>> euler_numbers(8)
     (1, 1, 1, 2, 5, 16, 61, 272, 1385)
     """
     bound, what, name = LIMITS["euler"]
@@ -80,7 +67,7 @@ def euler_numbers(limit: int) -> EulerTable:
         for k in range(1, n + 1):
             row[k] = row[k - 1] + prev[n - k]
         values.append(row[n])
-    return EulerTable(tuple(values))
+    return tuple(values)
 
 
 def sign_imbalance_depth(n: int) -> int:

@@ -7,14 +7,14 @@ fraction
 
 whose z^n coefficient is the sum, over plain Motzkin paths of length n, of
 the product of gamma_h per horizontal step at height h and lambda_h per
-down step from height h.  ``expand`` computes the truncation by dynamic
-programming over (length, running height), with one call of the kernel
-``MultiPoly.sum_of_products`` per height and step.  A path at height h with
-fewer than h steps left can never return to 0, so after step k only the
-heights h <= order - k are kept: the gamma_h product is skipped when h
-exceeds the steps left, and so is the up step when h + 1 does.  After step k
-the DP therefore holds at most min(k, order - k) + 1 heights, and every
-coefficient is exactly the full path sum.  Each spec carries its own
+down step from height h.  ``expand`` returns the truncation, a tuple indexed
+by n, computed by dynamic programming over (length, running height), with
+one call of ``MultiPoly.sum_of_products`` per height and step.  A path at
+height h with fewer than h steps left can never return to 0, so after step k
+only the heights h <= order - k are kept: the gamma_h product is skipped
+when h exceeds the steps left, and so is the up step when h + 1 does.  After
+step k the DP therefore holds at most min(k, order - k) + 1 heights, and
+every coefficient is exactly the full path sum.  Each spec carries its own
 ``max_order``; its values, with their measured costs, are in ``errors.LIMITS``.
 
 The DP packs q (Kronecker substitution): it runs on gamma_h and lambda_h
@@ -75,21 +75,8 @@ class JFractionSpec:
     max_order: int = LIMITS["expansion"].bound
 
 
-@dataclass(frozen=True)
-class SeriesTable:
-    """Entry n is the exact coefficient of z^n."""
-
-    coeffs: tuple[MultiPoly, ...]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, n: int) -> MultiPoly:
-        return self.coeffs[n]
-
-
-def expand(spec: JFractionSpec, order: int) -> SeriesTable:
-    """Series coefficients of the continued fraction through z^order.
+def expand(spec: JFractionSpec, order: int) -> tuple[MultiPoly, ...]:
+    """Series coefficients of the continued fraction through z^order, z^n at entry n.
 
     The DP runs on packed q-polynomials when ``_slot_width`` finds a width
     within ``PACKED_WORDS_LIMIT``, and on plain ones otherwise; the
@@ -108,7 +95,7 @@ def expand(spec: JFractionSpec, order: int) -> SeriesTable:
     coeffs = [MultiPoly.one()]
     for state in _steps(MultiPoly.one(), gamma, lam, order, MultiPoly.sum_of_products):
         coeffs.append(state[0].unpack_q(width) if width else state[0])
-    return SeriesTable(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _steps(start, gamma, lam, order, combine):

@@ -31,7 +31,9 @@ that builds ``WeightedStep`` objects on demand; enumeration and the
 bijection read and write the tuples directly.  Heights are stored rather
 than derived, so a wrong height in user input is reported as such.  One
 walk, ``path_exponents``, validates a path and sums its weight in the same
-pass; ``ensure_valid``, ``validate``, ``path_weight`` and ``area`` all run it.
+pass; ``validate``, ``path_weight`` and ``bijection.decode`` run it.
+Heights and choices are ASCII digits in text and ``int``s in JSON records;
+nothing else (``1_0``, other digits, floats, bools, strings) is coerced.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ STEP_KINDS: tuple[StepKind, ...] = tuple(StepKind)
 KIND_U, KIND_D, KIND_H1, KIND_H2, KIND_H3 = range(len(STEP_KINDS))
 _CODES = {kind: code for code, kind in enumerate(STEP_KINDS)}
 _NAMES = tuple(kind.value for kind in STEP_KINDS)
-_TOKEN = re.compile(r"(U|D|H1|H2|H3)\((\d+),(\d+)\)")
+_TOKEN = re.compile(r"(U|D|H1|H2|H3)\(([0-9]+),([0-9]+)\)")
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,9 @@ class WeightedMotzkinPath:
         for index, record in enumerate(records, start=1):
             try:
                 kind = StepKind(record["kind"])
-                height, choice = int(record["height"]), int(record["choice"])
+                height, choice = record["height"], record["choice"]
+                if type(height) is not int or type(choice) is not int:  # bools too
+                    raise TypeError
             except (KeyError, ValueError, TypeError):
                 raise ParseError(f"step {index}: bad record {record!r}") from None
             kinds.append(_CODES[kind])
@@ -167,40 +171,38 @@ def _flat_path(
     return path
 
 
-def step_exponents(step: WeightedStep) -> Monomial:
-    """Exponents (eq, ep, es, et) of the step's weight monomial."""
-    kind, h, d = step.kind, step.height, step.choice
-    if kind is StepKind.U:
-        return (d, 0, 1, 2 * h - 1)
-    if kind is StepKind.D:
-        return (2 * h - 1 + d, 0, 0, 0)
-    if kind is StepKind.H1:
-        return (h + d, 0, 1, h)
-    if kind is StepKind.H2:
-        return (h + d, 0, 0, h)
-    return (2 * h, 1, 0, h)
-
-
 def step_weight(step: WeightedStep) -> MultiPoly:
-    """The weight monomial of a single step (see the menu in the module doc)."""
+    """The weight monomial of a single step (see the menu in the module doc):
+    an oracle apart from ``path_exponents``, which the tests sum along paths
+    and ``verify``'s ``level-weights`` sums over each menu."""
     kind, h, d = step.kind, step.height, step.choice
     if kind is StepKind.H3:
         if h < 0 or d != 0:
             raise InvalidPathError(f"bad H3 step {step}")
-    elif h < 1:
+        return MultiPoly.monomial((2 * h, 1, 0, h))
+    if h < 1:
         raise InvalidPathError(
             f"{kind.value} height must be >= 1"
             if kind in (StepKind.U, StepKind.D)
             else f"{kind.value} is not allowed at height 0"
         )
-    elif not 0 <= d <= h - 1:
+    if not 0 <= d <= h - 1:
         raise InvalidPathError(f"{kind.value} choice {d} out of range 0..{h - 1}")
-    return MultiPoly.monomial(step_exponents(step))
+    if kind is StepKind.U:
+        return MultiPoly.monomial((d, 0, 1, 2 * h - 1))
+    if kind is StepKind.D:
+        return MultiPoly.monomial((2 * h - 1 + d, 0, 0, 0))
+    return MultiPoly.monomial((h + d, 0, int(kind is StepKind.H1), h))
 
 
 def path_exponents(path: WeightedMotzkinPath) -> Monomial:
     """Exponents (eq, ep, es, et) of the path weight, summed over the flat
-    tuples in the one validating walk; rejects invalid paths."""
+    tuples in the one validating walk; rejects invalid paths.
+
+    The t exponent is the area between the path and the x-axis: a step at
+    height h is a trapezoid of area h, or h - 1/2 for U and D, and U and D
+    steps pair up level by level.
+    """
     kinds, heights, choices = path._flat
     running = eq = es = et = 0
     for index, kind, h, d in zip(itertools.count(1), kinds, heights, choices):
@@ -243,12 +245,9 @@ def _bad(index: int, problem: str) -> InvalidPathError:
     return InvalidPathError(f"step {index}: {problem}")
 
 
-#: Callers that only validate run the same walk and drop the exponents.
-ensure_valid = path_exponents
-
-
 def validate(path: WeightedMotzkinPath) -> tuple[bool, str]:
-    """``(True, "valid")``, or ``False`` with the diagnostic of ``path_exponents``."""
+    """``(True, "valid")``, or ``False`` with the diagnostic of ``path_exponents``.
+    No command calls it; the tests and a perfbench metric name it."""
     try:
         path_exponents(path)
     except InvalidPathError as error:
@@ -257,18 +256,9 @@ def validate(path: WeightedMotzkinPath) -> tuple[bool, str]:
 
 
 def path_weight(path: WeightedMotzkinPath) -> MultiPoly:
-    """Product of the step weights, always a single monomial."""
+    """Product of the step weights, always a single monomial.  No command calls
+    it; it is the tests' weight oracle, and a perfbench metric names it."""
     return MultiPoly.monomial(path_exponents(path))
-
-
-def area(path: WeightedMotzkinPath) -> int:
-    """Area between the path and the x-axis: the t exponent of its weight.
-
-    A step at height h is a trapezoid of area h, or h - 1/2 for U and D.  U
-    and D steps pair up level by level, so the total is the t exponent's sum
-    of 2h - 1 over U steps and h over H steps.
-    """
-    return path_exponents(path)[3]
 
 
 def enumerate_weighted(n: int) -> Iterator[WeightedMotzkinPath]:

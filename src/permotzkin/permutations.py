@@ -15,8 +15,10 @@ A permutation of [n] = {1, ..., n} is stored as the tuple of its images
 O(n log n) comparisons plus C-level list shifts, 0.01 / 0.34 / 35 s for a
 random permutation at n = 10^4 / 10^5 / 10^6 (Python 3.11, 2 vCPUs).
 
-Text format: space-separated images, e.g. ``"3 2 1"``; the empty string is
-the unique permutation of n = 0.
+Text format: space-separated images, e.g. ``"3 2 1"``, each ASCII digits
+with an optional sign (``[+-]?[0-9]+``; ``1_0`` and other digits are not
+integers); the empty string is the unique permutation of n = 0.
+``iter_group`` streams S_n and ``iter_derangements`` filters it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ne
 from typing import Iterator
 
 from .errors import ParseError, check_size
@@ -70,6 +73,8 @@ class Permutation:
         seen: set[int] = set()
         for index, token in enumerate(tokens, start=1):
             try:
+                if not token.isascii() or "_" in token:  # leaves int() only [+-]?[0-9]+
+                    raise ValueError
                 value = int(token)
             except ValueError:
                 raise ParseError(f"position {index}: {token!r} is not an integer") from None
@@ -184,33 +189,19 @@ def iter_group(n: int) -> Iterator[Permutation]:
 
 
 def iter_derangements(n: int) -> Iterator[Permutation]:
-    """All fixed-point-free permutations of [n], lexicographically.
-
-    Backtracks position by position instead of filtering S_n, which prunes
-    roughly an e-fold factor of the search space.
-    """
+    """All fixed-point-free permutations of [n], lexicographically: S_n
+    filtered, faster in CPython than backtracking.  No command calls it; it
+    stays as the tests' derangement oracle, and a perfbench metric names it."""
     check_size(n, "enumeration")
-    used = [False] * (n + 1)
-    images: list[int] = []
-
-    def extend(pos: int) -> Iterator[Permutation]:
-        if pos > n:
-            yield Permutation(tuple(images))
-            return
-        for value in range(1, n + 1):
-            if used[value] or value == pos:
-                continue
-            used[value] = True
-            images.append(value)
-            yield from extend(pos + 1)
-            images.pop()
-            used[value] = False
-
-    yield from extend(1)
+    positions = range(1, n + 1)
+    for images in itertools.permutations(positions):
+        if all(map(ne, images, positions)):
+            yield _trusted(images)
 
 
 def is_alternating(perm: Permutation) -> bool:
-    """True for the down-up pattern sigma(1) > sigma(2) < sigma(3) > ..."""
+    """True for the down-up pattern sigma(1) > sigma(2) < sigma(3) > ...; the
+    tests' oracle that S_n holds E_n such permutations."""
     images = perm.images
     for i in range(len(images) - 1):
         if i % 2 == 0:

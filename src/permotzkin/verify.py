@@ -17,9 +17,10 @@ and compares the decode kernel's images with the permutation's.  It keeps
 no path set: validation, the round trip and the n! of ``cardinality`` make
 its image the whole set.  ``involution`` reads one ``_pairing(n)`` and one
 stats pass (three byte arrays), both indexed by lexicographic rank, the
-order of ``itertools.permutations``: it walks S_n in that order, keeps no
-permutation and reads each partner's statistics by rank.  A partner rank
-outside 0 .. n! - 1 is reported as not involutive.
+order of ``itertools.permutations``.  It walks S_n once, for the stats,
+then loops over ranks, keeps no permutation and unranks one only to name a
+failure.  A partner rank outside 0 .. n! - 1 is reported as not involutive.
+``level-weights`` holds the step menus to ``expand``'s own coefficients.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bijection, identities, involution, jfraction, motzkin
-from .algebra import MultiPoly, P, Q, S, T, q_integer
+from .algebra import MultiPoly, S, T
 from .errors import LIMITS, check_size
 from .motzkin import StepKind, WeightedStep
 from .permutations import Permutation, depth, depth_via_factorization, image_stats, iter_group
@@ -103,24 +104,26 @@ def _imbalance_exc(n: int) -> tuple[str, str]:
 def _involution(n: int) -> tuple[str, str]:
     summary = "involutive, equal deltas in {{1,0,-1}}, {} fixed points".format
     expected = summary(involution.euler_numbers(n)[n] if n % 2 else 0)
-    values = range(1, n + 1)
     partner = involution._pairing(n)
     stats = array("B")  # (inv, fix, exc, depth) rank by rank, each a byte while n <= 23
-    for images in itertools.permutations(values):
+    for images in itertools.permutations(range(1, n + 1)):
         stats.extend(image_stats(images))
     inv, exc, dep = stats[0::4], stats[2::4], stats[3::4]
     fixed = 0
-    for rank, images in enumerate(itertools.permutations(values)):
-        other = partner[rank]
-        if not 0 <= other < len(inv) or partner[other] != rank:
-            return expected, f"not involutive at {Permutation(images).to_text()!r}"
-        delta = inv[rank] - inv[other]
-        equal = delta == exc[rank] - exc[other] == dep[rank] - dep[other]
-        if not (equal and delta in (-1, 0, 1)):
-            return expected, f"delta law broken at {Permutation(images).to_text()!r}"
-        if (delta == 0) != (other == rank):
-            return expected, f"delta/fixed mismatch at {Permutation(images).to_text()!r}"
-        fixed += other == rank
+    for rank, other in enumerate(partner):
+        if 0 <= other < len(inv) and partner[other] == rank:
+            delta = inv[rank] - inv[other]
+            equal = delta == exc[rank] - exc[other] == dep[rank] - dep[other]
+            if not (equal and delta in (-1, 0, 1)):
+                problem = "delta law broken"
+            elif (delta == 0) != (other == rank):
+                problem = "delta/fixed mismatch"
+            else:
+                fixed += other == rank
+                continue
+        else:
+            problem = "not involutive"
+        return expected, f"{problem} at {Permutation(involution._unrank(rank, n)).to_text()!r}"
     return expected, summary(fixed)
 
 
@@ -150,15 +153,13 @@ def _level_weights(h: int) -> tuple[str, str]:
     def weights(kind: StepKind) -> MultiPoly:
         return MultiPoly.sum(motzkin.step_weight(WeightedStep(kind, h, d)) for d in range(h))
 
-    qt = Q * T
+    spec = jfraction.preset_refined()
     gamma_sum = weights(StepKind.H1) + weights(StepKind.H2)
     gamma_sum = gamma_sum + motzkin.step_weight(WeightedStep(StepKind.H3, h, 0))
-    if gamma_sum != ((1 + S) * q_integer(h) + P * Q**h) * qt**h:
+    if gamma_sum != spec.gamma(h):
         return expected, mismatch
-    if h >= 1:
-        lam = weights(StepKind.U) * weights(StepKind.D)
-        if lam != S * q_integer(h) ** 2 * qt ** (2 * h - 1):
-            return expected, mismatch
+    if h >= 1 and weights(StepKind.U) * weights(StepKind.D) != spec.lam(h):
+        return expected, mismatch
     return expected, expected
 
 

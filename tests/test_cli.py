@@ -222,6 +222,77 @@ def test_bad_stdin_is_a_positioned_parse_error(capsys, monkeypatch, argv, stdin,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats", "2 1_0 1 3 4 5 6 7 8 9"], "position 2: '1_0' is not an integer"),
+        (["stats", "\uff12 1"], "position 1: '\uff12' is not an integer"),
+        (["encode", "1 \u0662"], "position 2: '\u0662' is not an integer"),
+        (["stats", "+-1"], "position 1: '+-1' is not an integer"),
+        (["decode", "U(\u0661,0) D(1,0)"], "step 1: cannot parse 'U(\u0661,0)'"),
+        (["decode", "U(1,0) D(1,\u0660)"], "step 2: cannot parse 'D(1,\u0660)'"),
+    ],
+)
+def test_integer_tokens_are_ascii_digits_only(capsys, argv, message):
+    # int() alone would read 1_0 as 10 and take digits of any script
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        (["stats", "+2 1"], "inv=1  fix=0  exc=1  depth=1\n", ""),
+        (["stats", "-1 2"], "", "error: position 1: value -1 out of range 1..2\n"),
+        (["stats", "0 1"], "", "error: position 1: value 0 out of range 1..2\n"),
+        (["stats", "-0"], "", "error: position 1: value 0 out of range 1..1\n"),
+        (["stats", "1.0"], "", "error: position 1: '1.0' is not an integer\n"),
+        (["decode", "U(+1,0) D(1,0)"], "", "error: step 1: cannot parse 'U(+1,0)'\n"),
+    ],
+)
+def test_signed_ascii_tokens_keep_their_diagnostics(capsys, argv, out, err):
+    code = 0 if out else 2
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "records, bad",
+    [
+        ('{"kind":"U","height":1.9,"choice":0},{"kind":"D","height":true,"choice":"0"}', 1),
+        ('{"kind":"U","height":1,"choice":0},{"kind":"D","height":true,"choice":0}', 2),
+        ('{"kind":"U","height":1,"choice":false},{"kind":"D","height":1,"choice":0}', 1),
+        ('{"kind":"U","height":1,"choice":0},{"kind":"D","height":1,"choice":"0"}', 2),
+        ('{"kind":"U","height":1.0,"choice":0},{"kind":"D","height":1,"choice":0}', 1),
+    ],
+)
+def test_decode_refuses_records_whose_fields_are_not_ints(capsys, records, bad):
+    text = f"[{records}]"
+    record = json.loads(text)[bad - 1]
+    code, out, err = run(capsys, "decode", text)
+    assert (code, out, err) == (2, "", f"error: step {bad}: bad record {record!r}\n")
+
+
+def test_optimized_interpreter_prints_the_same_bytes():
+    # No invariant is an assert, so python -O must verify and refuse alike.
+    def cli(*flags_and_argv):
+        result = subprocess.run(
+            [sys.executable, *flags_and_argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    for argv, code in (
+        (["verify", "--max-n", "6"], 0),
+        (["expand", "--preset", "refined", "--order", "23"], 2),
+        (["stats", "2 1 2"], 2),
+    ):
+        plain = cli("-m", "permotzkin.cli", *argv)
+        assert plain[0] == code and (plain[1] if code == 0 else plain[2])
+        assert cli("-O", "-m", "permotzkin.cli", *argv) == plain
+
+
 def test_imbalance(capsys):
     code, out, _ = run(capsys, "imbalance", "--stat", "depth", "--n", "5")
     assert code == 0

@@ -7,6 +7,8 @@ import pytest
 from permotzkin import jfraction
 from permotzkin.algebra import EXPONENT_LIMIT, MultiPoly, P, Q, S, T, q_integer
 from permotzkin.errors import LIMITS, SizeLimitError
+from permotzkin.identities import derangement_series_rhs
+from permotzkin.involution import euler_numbers
 from permotzkin.jfraction import (
     JFractionSpec,
     brute_force_depth_gf,
@@ -116,7 +118,7 @@ def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch, unpac
             series = expand(spec, order)
         assert bool(unpacked_widths) == packed
         assert len(products) == expected
-        assert list(series.coeffs) == naive_expand(spec, order)
+        assert list(series) == naive_expand(spec, order)
 
 
 def naive_expand(spec, order):
@@ -161,7 +163,7 @@ def test_multi_word_slots_with_mixed_signs_match_a_naive_dp(unpacked_widths):
     )
     series = expand(spec, 10)
     assert unpacked_widths and min(unpacked_widths) > 64
-    assert list(series.coeffs) == naive_expand(spec, 10)
+    assert list(series) == naive_expand(spec, 10)
     coeffs = series[10].terms().values()
     assert min(coeffs) < -(2**64) and max(coeffs) > 2**64
 
@@ -176,7 +178,7 @@ def test_a_q_gapped_spec_takes_the_plain_dp(unpacked_widths):
         )
         series = expand(spec, 12)
         assert unpacked_widths == []
-        assert list(series.coeffs) == naive_expand(spec, 12)
+        assert list(series) == naive_expand(spec, 12)
         assert series[12].coefficient((6 * gap, 0, 6, 0)) == 1  # (UD)^6 alone
 
 
@@ -287,3 +289,9 @@ def test_brute_force_guards():
         brute_force_gf(13)
     with pytest.raises(SizeLimitError):
         brute_force_depth_gf(13)
+
+
+def test_series_and_euler_numbers_are_plain_tuples():
+    assert type(expand(preset_depth(), 4)) is tuple
+    assert type(derangement_series_rhs(4)) is tuple
+    assert euler_numbers(4) == (1, 1, 1, 2, 5)

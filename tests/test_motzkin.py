@@ -6,14 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permotzkin.algebra import MultiPoly, P, Q, S, T, q_integer
-from permotzkin.bijection import encode
+from permotzkin.bijection import decode, encode
 from permotzkin.errors import InvalidPathError, ParseError, SizeLimitError
 from permotzkin.motzkin import (
     StepKind,
     WeightedMotzkinPath,
     WeightedStep,
-    area,
-    ensure_valid,
     enumerate_weighted,
     path_exponents,
     path_weight,
@@ -100,23 +98,24 @@ def test_path_weight_rejects_invalid():
 
 
 def test_area_examples():
-    assert area(path_of("U(1,0) H3(1,0) D(1,0)")) == 2
-    assert area(path_of("H3(0,0) H3(0,0)")) == 0
+    # the t exponent of the weight is the area under the path
+    assert path_exponents(path_of("U(1,0) H3(1,0) D(1,0)"))[3] == 2
+    assert path_exponents(path_of("H3(0,0) H3(0,0)"))[3] == 0
     # each UD peak encloses two half-unit triangles, so two peaks give 2
-    assert area(path_of("U(1,0) D(1,0) U(1,0) D(1,0)")) == 2
+    assert path_exponents(path_of("U(1,0) D(1,0) U(1,0) D(1,0)"))[3] == 2
 
 
 def test_area_equals_depth_exponent():
-    # the t-exponent of the weight telescopes to the enclosed area; area reads
-    # it off, so the trapezoid sum (twice each step's mean height) checks both
+    # the t-exponent of the weight telescopes to the enclosed area, so the
+    # trapezoid sum (twice each step's mean height) checks both walks' t
     up_down = (StepKind.U, StepKind.D)
     for n in range(6):
         for path in enumerate_weighted(n):
             doubled = sum(2 * step.height - (step.kind in up_down) for step in path.steps)
-            assert 2 * area(path) == doubled
-            assert path_weight(path).terms().popitem()[0][3] == area(path)
+            assert 2 * path_exponents(path)[3] == doubled
+            assert path_weight(path).terms().popitem()[0][3] == path_exponents(path)[3]
     with pytest.raises(InvalidPathError, match="path ends at height 1, not 0"):
-        area(path_of("U(1,0)"))
+        path_exponents(path_of("U(1,0)"))
 
 
 def test_enumeration_counts_are_factorials():
@@ -279,9 +278,9 @@ def test_validate_matches_the_step_by_step_reference(steps):
     assert validate(path) == (ok, message)
     if ok:
         assert path_exponents(path) == menu_exponents(steps)
-        ensure_valid(path)
+        decode(path)
         return
-    for walk in (path_exponents, ensure_valid, path_weight, area):
+    for walk in (path_exponents, path_weight, decode):
         with pytest.raises(InvalidPathError) as error:
             walk(path)
         assert str(error.value) == message

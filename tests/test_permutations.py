@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -181,6 +182,14 @@ def test_derangement_listing():
     # derangement numbers 1, 0, 1, 2, 9, 44, 265
     counts = [sum(1 for _ in iter_derangements(n)) for n in range(7)]
     assert counts == [1, 0, 1, 2, 9, 44, 265]
+
+
+def test_derangements_are_the_fixed_point_free_subsequence_of_the_group():
+    # a generator function, so the stream is lazy and perfbench counts its items
+    assert inspect.isgeneratorfunction(iter_derangements)
+    for n in range(9):
+        expected = [perm for perm in iter_group(n) if fix_count(perm) == 0]
+        assert list(iter_derangements(n)) == expected
 
 
 def test_enumeration_guard():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from permotzkin import bijection, identities, involution, motzkin, verify
+from permotzkin import bijection, identities, involution, jfraction, motzkin, verify
+from permotzkin.algebra import Q
 from permotzkin.cli import main
 from permotzkin.permutations import Permutation, image_stats
 
@@ -166,8 +168,7 @@ def test_bijection_check_validates_each_path_once(monkeypatch):
 
     # every name under which the validating walk can be reached
     monkeypatch.setattr(motzkin, "path_exponents", counted)
-    monkeypatch.setattr(motzkin, "ensure_valid", counted)
-    monkeypatch.setattr(bijection, "ensure_valid", counted)
+    monkeypatch.setattr(bijection, "path_exponents", counted)
     monkeypatch.setattr(bijection, "decode", refuse)
     records = verify.run_checks(["bijection"], 6)
     assert [record.n for record in records if record.passed] == list(range(7))
@@ -272,3 +273,29 @@ def test_involution_check_does_each_permutations_work_once(monkeypatch, n):
     expected, computed = verify._involution(n)
     assert computed == expected
     assert calls == {"image_stats": math.factorial(n), "_pairing": 1}
+
+
+def test_involution_check_names_no_permutation_when_it_passes(monkeypatch):
+    # The check walks S_n once, for the stats; it unranks only to name a failure.
+    def refuse(rank, n):
+        raise AssertionError("the passing involution check unranked a permutation")
+
+    monkeypatch.setattr(involution, "_unrank", refuse)
+    for n in range(1, 9):
+        expected, computed = verify._involution(n)
+        assert computed == expected
+
+
+@pytest.mark.parametrize("field, h", [("gamma", 5), ("lam", 6)])
+def test_level_weights_hold_the_menus_to_the_preset_expand_uses(monkeypatch, field, h):
+    # A wrong coefficient in the preset, which expand reads, must fail the
+    # level-weights record of its height and no other record.
+    preset = jfraction.preset_refined
+
+    def wrong_preset():
+        spec = preset()
+        right = getattr(spec, field)
+        return dataclasses.replace(spec, **{field: lambda k: right(k) + (Q**9 if k == h else 0)})
+
+    monkeypatch.setattr(jfraction, "preset_refined", wrong_preset)
+    assert failed_records() == [("level-weights", h, f"mismatch at height {h}")]
