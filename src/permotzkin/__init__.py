@@ -3,7 +3,7 @@ paths, Jacobi-type continued fractions, and sign-imbalance identity
 verifiers.  Everything is integer/polynomial exact; see the README for the
 CLI and the verification battery."""
 
-from .algebra import MultiPoly, P, Q, S, T, binomial, q_integer
+from .algebra import MultiPoly, P, Q, S, T, q_integer
 from .bijection import decode, encode
 from .errors import InvalidPathError, ParseError, SizeLimitError
 from .identities import (
@@ -38,12 +38,7 @@ from .motzkin import (
 )
 from .permutations import (
     Permutation,
-    depth,
     depth_via_factorization,
-    exc_count,
-    fix_count,
-    four_stats,
-    inv_count,
     is_alternating,
     iter_derangements,
     iter_group,
@@ -65,11 +60,9 @@ __all__ = [
     "T",
     "WeightedMotzkinPath",
     "WeightedStep",
-    "binomial",
     "brute_force_depth_gf",
     "brute_force_gf",
     "decode",
-    "depth",
     "depth_via_factorization",
     "derangement_series_rhs",
     "derangement_signed_gf",
@@ -77,11 +70,7 @@ __all__ = [
     "encode",
     "enumerate_weighted",
     "euler_numbers",
-    "exc_count",
     "expand",
-    "fix_count",
-    "four_stats",
-    "inv_count",
     "is_alternating",
     "iter_derangements",
     "iter_group",

@@ -28,12 +28,11 @@ MultiPoly('0')
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 #: Variable order used everywhere: exponent tuples are (eq, ep, es, et).
 VARIABLES = ("q", "p", "s", "t")
@@ -166,9 +165,6 @@ class MultiPoly:
         if max(exponents) >= EXPONENT_LIMIT:
             return 0  # no stored term has such an exponent
         return self._terms.get(_pack(exponents), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def constant_value(self) -> int:
         """The value of a constant polynomial.
@@ -368,10 +364,6 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, int]]:
-        for key, coeff in sorted(self._terms.items(), reverse=True):
-            yield _unpack(key), coeff
-
     def __str__(self) -> str:
         terms = self._terms
         if not terms:
@@ -423,10 +415,3 @@ def q_integer(k: int) -> MultiPoly:
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"q_integer expects a non-negative integer, got {k!r}")
     return MultiPoly({(i, 0, 0, 0): 1 for i in range(k)})
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient as an exact integer; zero when k > n."""
-    if not isinstance(n, int) or not isinstance(k, int) or n < 0 or k < 0:
-        raise ValueError(f"binomial expects non-negative integers, got {n!r}, {k!r}")
-    return math.comb(n, k)

@@ -17,10 +17,11 @@ import sys
 from . import verify as verify_mod
 from .bijection import decode as decode_path
 from .bijection import encode as encode_perm
+from .errors import ParseError
 from .involution import parity_reversing_involution, sign_imbalance_depth, sign_imbalance_exc
 from .jfraction import expand, preset_depth, preset_refined
 from .motzkin import WeightedMotzkinPath
-from .permutations import Permutation, four_stats
+from .permutations import Permutation, image_stats
 
 
 def _emit_table(rows: list[dict], fmt: str) -> str:
@@ -46,7 +47,7 @@ def _operand(text: str) -> str:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     perm = Permutation.from_text(_operand(args.perm))
-    inv, fix, exc, dep = four_stats(perm)
+    inv, fix, exc, dep = image_stats(perm.images)
     row = {"inv": inv, "fix": fix, "exc": exc, "depth": dep}
     print(_emit_table([row], args.format))
     return 0
@@ -64,7 +65,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     text = _operand(args.path).strip()
     if text.startswith("["):
-        path = WeightedMotzkinPath.from_records(json.loads(text))
+        try:
+            records = json.loads(text)
+        except RecursionError:  # not a ValueError, so main would not catch it
+            raise ParseError("JSON path is nested too deeply") from None
+        path = WeightedMotzkinPath.from_records(records)
     else:
         path = WeightedMotzkinPath.from_text(text)
     print(decode_path(path).to_text())
@@ -91,8 +96,8 @@ def _cmd_imbalance(args: argparse.Namespace) -> int:
 def _cmd_involution(args: argparse.Namespace) -> int:
     perm = Permutation.from_text(_operand(args.perm))
     partner = parity_reversing_involution(perm)
-    inv, _, exc, dep = four_stats(perm)
-    pinv, _, pexc, pdep = four_stats(partner)
+    inv, _, exc, dep = image_stats(perm.images)
+    pinv, _, pexc, pdep = image_stats(partner.images)
     delta = pinv - inv
     if not delta == pexc - exc == pdep - dep:
         print(f"error: partner {partner.to_text()!r} breaks the delta law", file=sys.stderr)

@@ -22,9 +22,10 @@ over all of S_n, and p -> 0 keeps exactly the fixed-point-free permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .algebra import MultiPoly, S, T, binomial
+from .algebra import MultiPoly, S, T
 from .errors import LIMITS, check_size
 from .jfraction import brute_force_gf
 
@@ -52,7 +53,7 @@ def derangement_series_rhs(order: int) -> tuple[MultiPoly, ...]:
     check_size(order, "series-assembly")
 
     def cell(k: int, i: int) -> MultiPoly:
-        return (-1) ** k * binomial(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i) * T**k
+        return (-1) ** k * math.comb(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i) * T**k
 
     # i <= k - 1 = n - 2 - i holds exactly for i < n // 2
     return tuple(MultiPoly.sum(cell(n - 1 - i, i) for i in range(n // 2)) for n in range(order + 1))

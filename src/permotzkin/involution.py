@@ -142,5 +142,5 @@ def parity_reversing_involution(perm: Permutation) -> Permutation:
     inv, exc and depth all change by the same delta in {+1, 0, -1}, and
     delta = 0 exactly on fixed points.
     """
-    check_size(perm.n, "involution")
-    return Permutation(_unrank(_pairing(perm.n)[_rank(perm.images)], perm.n))
+    check_size(len(perm), "involution")
+    return Permutation(_unrank(_pairing(len(perm))[_rank(perm.images)], len(perm)))

@@ -1,17 +1,18 @@
 """Permutations in one-line notation and the four statistics used everywhere.
 
 A permutation of [n] = {1, ..., n} is stored as the tuple of its images
-(1-based).  The statistics are
+(1-based), and ``len(perm)`` is n.  ``image_stats(perm.images)`` returns the
+four statistics, in the order of the weight variables (q, p, s, t):
 
-* ``inv_count``  -- inversions: pairs i < j with sigma(i) > sigma(j);
-* ``exc_count``  -- excedances: positions with sigma(i) > i;
-* ``fix_count``  -- fixed points;
-* ``depth``      -- sum of sigma(i) - i over excedances, which equals the
+* inv   -- inversions: pairs i < j with sigma(i) > sigma(j);
+* fix   -- fixed points;
+* exc   -- excedances: positions with sigma(i) > i;
+* depth -- sum of sigma(i) - i over excedances, which equals the
   minimum of sum (j_r - i_r) over all ways of writing sigma as a product of
   transpositions (i_r j_r); ``depth_via_factorization`` recomputes it that
   way by a shortest-path search and is kept as an independent cross-check.
 
-``image_stats`` inserts each value into the sorted list of those before it:
+It inserts each value into the sorted list of those before it:
 O(n log n) comparisons plus C-level list shifts, 0.01 / 0.34 / 35 s for a
 random permutation at n = 10^4 / 10^5 / 10^6 (Python 3.11, 2 vCPUs).
 
@@ -45,10 +46,6 @@ class Permutation:
         # the type test comes first: 1.0 and True sort and compare as 1 does
         if not {*map(type, self.images)} <= {int} or sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"{self.images!r} is not a permutation of 1..{n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
 
     def __len__(self) -> int:
         return len(self.images)
@@ -121,27 +118,6 @@ def image_stats(images: tuple[int, ...]) -> tuple[int, int, int, int]:
     return inv, fix, exc, dep
 
 
-def inv_count(perm: Permutation) -> int:
-    return image_stats(perm.images)[0]
-
-
-def exc_count(perm: Permutation) -> int:
-    return image_stats(perm.images)[2]
-
-
-def fix_count(perm: Permutation) -> int:
-    return image_stats(perm.images)[1]
-
-
-def depth(perm: Permutation) -> int:
-    return image_stats(perm.images)[3]
-
-
-def four_stats(perm: Permutation) -> tuple[int, int, int, int]:
-    """(inv, fix, exc, depth) for a Permutation."""
-    return image_stats(perm.images)
-
-
 @lru_cache(maxsize=None)
 def _min_transposition_cost(n: int) -> dict[tuple[int, ...], int]:
     """Cheapest factorization cost from the identity to every sigma in S_n.
@@ -171,8 +147,8 @@ def _min_transposition_cost(n: int) -> dict[tuple[int, ...], int]:
 
 def depth_via_factorization(perm: Permutation) -> int:
     """depth recomputed as the minimum total span of a transposition product."""
-    check_size(perm.n, "factorization-search")
-    return _min_transposition_cost(perm.n)[perm.images]
+    check_size(len(perm), "factorization-search")
+    return _min_transposition_cost(len(perm))[perm.images]
 
 
 def _trusted(images: tuple[int, ...]) -> Permutation:

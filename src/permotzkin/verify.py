@@ -36,7 +36,7 @@ from . import bijection, identities, involution, jfraction, motzkin
 from .algebra import MultiPoly, S, T
 from .errors import LIMITS, check_size
 from .motzkin import StepKind, WeightedStep
-from .permutations import Permutation, depth, depth_via_factorization, image_stats, iter_group
+from .permutations import Permutation, depth_via_factorization, image_stats, iter_group
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def _level_weights(h: int) -> tuple[str, str]:
 def _depth_min_cost(n: int) -> tuple[str, str]:
     expected = "minimum factorization cost equals depth"
     for perm in iter_group(n):
-        if depth_via_factorization(perm) != depth(perm):
+        if depth_via_factorization(perm) != image_stats(perm.images)[3]:
             return expected, f"mismatch at {perm.to_text()!r}"
     return expected, expected
 
@@ -225,7 +225,7 @@ def run_checks(names: list[str] | None = None, max_n: int = 6) -> list[ReportRec
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     records: list[ReportRecord] = []
-    for name in selected:
+    for name in dict.fromkeys(selected):  # each check once, however often named
         records.extend(CHECKS[name](max_n))
     records.sort(key=lambda record: (record.check, record.n))
     return records

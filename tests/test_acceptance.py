@@ -33,9 +33,8 @@ from permotzkin.motzkin import (
     step_weight,
 )
 from permotzkin.permutations import (
-    depth,
     depth_via_factorization,
-    four_stats,
+    image_stats,
     iter_group,
 )
 
@@ -65,7 +64,7 @@ def test_criterion_1_bijection():
         image = set()
         for perm in iter_group(n):
             path = encode(perm)
-            assert path_weight(path) == MultiPoly.monomial(four_stats(perm))
+            assert path_weight(path) == MultiPoly.monomial(image_stats(perm.images))
             assert decode(path) == perm
             image.add(path)
         assert len(image) == math.factorial(n)
@@ -106,8 +105,8 @@ def test_criterion_5_involution_contract():
         for perm in iter_group(n):
             partner = parity_reversing_involution(perm)
             assert parity_reversing_involution(partner) == perm
-            pi, _, pe, pd = four_stats(perm)
-            qi, _, qe, qd = four_stats(partner)
+            pi, _, pe, pd = image_stats(perm.images)
+            qi, _, qe, qd = image_stats(partner.images)
             delta = qi - pi
             assert delta == qe - pe == qd - pd
             assert delta in (-1, 0, 1)
@@ -165,4 +164,4 @@ def test_criterion_8_consistency():
     assert step_weight(WeightedStep(StepKind.H3, 0, 0)) == P
     for n in range(7):
         for perm in iter_group(n):
-            assert depth_via_factorization(perm) == depth(perm)
+            assert depth_via_factorization(perm) == image_stats(perm.images)[3]

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permotzkin.algebra import EXPONENT_LIMIT, VARIABLES, MultiPoly, P, Q, S, T, binomial, q_integer
-from permotzkin.permutations import depth, iter_group
+from permotzkin.algebra import EXPONENT_LIMIT, VARIABLES, MultiPoly, P, Q, S, T, q_integer
+from permotzkin.permutations import image_stats, iter_group
 
 exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
 polys = st.dictionaries(exponents, st.integers(min_value=-5, max_value=5), max_size=6).map(
@@ -12,7 +14,7 @@ polys = st.dictionaries(exponents, st.integers(min_value=-5, max_value=5), max_s
 
 
 def test_additive_inverse_cancels():
-    assert ((S * T) + (-(S * T))).is_zero()
+    assert not (S * T) + (-(S * T))
     assert (S * T) - (S * T) == MultiPoly.zero()
 
 
@@ -70,7 +72,7 @@ def test_substitute_depth_distribution_at_minus_one():
     # independent oracle: enumerate S_3 and read off the depth distribution
     dist = MultiPoly.zero()
     for perm in iter_group(3):
-        dist = dist + T ** depth(perm)
+        dist = dist + T ** image_stats(perm.images)[3]
     assert dist == 1 + 2 * T + 3 * T**2
     assert dist.substitute({"t": -1}) == 2
 
@@ -107,12 +109,8 @@ def test_coefficient_rejects_a_malformed_exponent_tuple():
 
 @pytest.mark.parametrize("n, k, expected", [(4, 2, 6), (0, 0, 1), (3, 1, 3), (2, 5, 0)])
 def test_binomial_values(n, k, expected):
-    assert binomial(n, k) == expected
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
+    # derangement_series_rhs relies on math.comb being 0 for k > n
+    assert math.comb(n, k) == expected
 
 
 @given(polys, polys)
@@ -220,7 +218,6 @@ def ref_str(a):
 
 def assert_matches(poly, reference):
     assert poly.terms() == reference
-    assert list(poly) == sorted(reference.items(), reverse=True)
     assert str(poly) == ref_str(reference)
     for mono, coeff in reference.items():
         assert poly.coefficient(mono) == coeff
@@ -316,7 +313,7 @@ def test_sum_of_products_drops_every_cancelled_term(a, b, c):
 def test_sum_of_products_of_nothing_is_zero():
     assert MultiPoly.sum_of_products([]) == MultiPoly.zero()
     assert MultiPoly.sum_of_products(iter([])).terms() == {}
-    assert MultiPoly.sum_of_products([(MultiPoly.zero(), None), (S, MultiPoly.zero())]).is_zero()
+    assert not MultiPoly.sum_of_products([(MultiPoly.zero(), None), (S, MultiPoly.zero())])
 
 
 def test_sum_of_products_leaves_its_operands_alone():

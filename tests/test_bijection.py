@@ -22,7 +22,7 @@ from permotzkin.motzkin import (
     path_exponents,
     path_weight,
 )
-from permotzkin.permutations import Permutation, four_stats, image_stats, iter_group
+from permotzkin.permutations import Permutation, image_stats, iter_group
 from test_motzkin import reference_validate, step_sequences
 
 perms = st.integers(min_value=0, max_value=8).flatmap(
@@ -134,7 +134,7 @@ def test_encode_examples(perm_text, path_text):
 def test_weights_track_the_four_statistics():
     for n in range(7):
         for perm in iter_group(n):
-            assert path_weight(encode(perm)) == MultiPoly.monomial(four_stats(perm))
+            assert path_weight(encode(perm)) == MultiPoly.monomial(image_stats(perm.images))
 
 
 def test_encode_is_a_bijection_onto_the_weighted_paths():
@@ -152,7 +152,7 @@ def test_round_trip_exhaustively():
 
 def test_step_count_identities():
     for perm in iter_group(6):
-        _, fix, exc, _ = four_stats(perm)
+        _, fix, exc, _ = image_stats(perm.images)
         kinds = [step.kind for step in encode(perm).steps]
         assert kinds.count(StepKind.H3) == fix
         assert kinds.count(StepKind.U) + kinds.count(StepKind.H1) == exc
@@ -172,7 +172,7 @@ def test_aggregate_weights_match_brute_force():
 def test_round_trip_property(perm):
     path = encode(perm)
     assert decode(path) == perm
-    assert path_weight(path) == MultiPoly.monomial(four_stats(perm))
+    assert path_weight(path) == MultiPoly.monomial(image_stats(perm.images))
 
 
 @settings(max_examples=300)

@@ -272,6 +272,17 @@ def test_decode_refuses_records_whose_fields_are_not_ints(capsys, records, bad):
     assert (code, out, err) == (2, "", f"error: step {bad}: bad record {record!r}\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, "[" * 5_000 + "]" * 5_000], ids=["unclosed", "closed"]
+)
+def test_decode_refuses_json_nested_too_deeply(capsys, monkeypatch, text):
+    # json.loads raises RecursionError here, which is no ValueError
+    expected = (2, "", "error: JSON path is nested too deeply\n")
+    assert run(capsys, "decode", text) == expected
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "decode", "-") == expected
+
+
 def test_optimized_interpreter_prints_the_same_bytes():
     # No invariant is an assert, so python -O must verify and refuse alike.
     def cli(*flags_and_argv):

@@ -1,8 +1,9 @@
+import math
 from collections import Counter
 
 import pytest
 
-from permotzkin.algebra import MultiPoly, S, T, binomial
+from permotzkin.algebra import MultiPoly, S, T
 from permotzkin.errors import SizeLimitError
 from permotzkin.identities import (
     derangement_series_rhs,
@@ -11,7 +12,7 @@ from permotzkin.identities import (
     signed_gf_permutations,
 )
 from permotzkin.jfraction import brute_force_gf
-from permotzkin.permutations import four_stats, iter_derangements
+from permotzkin.permutations import image_stats, iter_derangements
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -43,7 +44,7 @@ def test_derangement_gf_initial_values():
 def test_derangement_gf_specializes_the_full_distribution():
     # setting p = 0 keeps exactly the fixed-point-free permutations
     for n in range(1, 8):
-        walked = MultiPoly(Counter(map(four_stats, iter_derangements(n))))
+        walked = MultiPoly(Counter(image_stats(perm.images) for perm in iter_derangements(n)))
         assert brute_force_gf(n).substitute({"p": 0}) == walked
         assert derangement_signed_gf(n) == walked.substitute({"q": -1})
 
@@ -81,7 +82,7 @@ def test_series_cells_are_the_brute_force_t_layers():
         for k in range(1, n):
             i = n - 1 - k
             if i <= k - 1:
-                formula[k] = (-1) ** k * binomial(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i)
+                formula[k] = (-1) ** k * math.comb(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i)
         assert layers == formula
         cells += len(formula)
     assert cells == 20

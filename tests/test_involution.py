@@ -14,7 +14,6 @@ from permotzkin.involution import (
 )
 from permotzkin.permutations import (
     Permutation,
-    four_stats,
     image_stats,
     is_alternating,
     iter_group,
@@ -78,7 +77,7 @@ def test_involution_fixed_point_count_s3():
     ]
     assert len(fixed) == 2
     for perm in fixed:
-        _, _, exc, dep = four_stats(perm)
+        _, _, exc, dep = image_stats(perm.images)
         assert dep % 2 == 0
         assert exc % 2 == 1
 
@@ -90,8 +89,8 @@ def test_involution_contract_exhaustively():
         for perm in iter_group(n):
             partner = parity_reversing_involution(perm)
             assert parity_reversing_involution(partner) == perm
-            pi, _, pe, pd = four_stats(perm)
-            qi, _, qe, qd = four_stats(partner)
+            pi, _, pe, pd = image_stats(perm.images)
+            qi, _, qe, qd = image_stats(partner.images)
             delta = qi - pi
             assert delta == qe - pe == qd - pd
             assert delta in (-1, 0, 1)
@@ -110,8 +109,8 @@ def test_involution_guard():
 @given(perms)
 def test_involution_delta_law(perm):
     partner = parity_reversing_involution(perm)
-    pi, _, pe, pd = four_stats(perm)
-    qi, _, qe, qd = four_stats(partner)
+    pi, _, pe, pd = image_stats(perm.images)
+    qi, _, qe, qd = image_stats(partner.images)
     delta = qi - pi
     assert delta == qe - pe == qd - pd
     assert delta in (-1, 0, 1)

@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 from permotzkin.errors import ParseError, SizeLimitError
 from permotzkin.permutations import (
     Permutation,
-    depth,
     depth_via_factorization,
-    exc_count,
-    fix_count,
-    four_stats,
     image_stats,
-    inv_count,
     is_alternating,
     iter_derangements,
     iter_group,
@@ -80,12 +75,7 @@ def random_images(n: int, seed: str) -> tuple[int, ...]:
     ],
 )
 def test_statistics(text, inv, fix, exc, dep):
-    perm = P(text)
-    assert inv_count(perm) == inv
-    assert fix_count(perm) == fix
-    assert exc_count(perm) == exc
-    assert depth(perm) == dep
-    assert four_stats(perm) == (inv, fix, exc, dep)
+    assert image_stats(P(text).images) == (inv, fix, exc, dep)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 100, 1000, 3000])
@@ -114,7 +104,7 @@ def test_image_stats_counts_strictly_greater_earlier_values():
 def test_derangements_have_no_fixed_points():
     for n in range(7):
         for perm in iter_derangements(n):
-            assert fix_count(perm) == 0
+            assert image_stats(perm.images)[1] == 0
 
 
 def test_inverse_examples():
@@ -136,15 +126,16 @@ def test_inverse_is_involutive_exhaustively():
 def test_statistics_of_inverse():
     # depth is half the total displacement, hence inverse-invariant; so is inv
     for perm in iter_group(6):
-        other = perm.inverse()
-        assert depth(other) == depth(perm)
-        assert inv_count(other) == inv_count(perm)
+        inv, _, _, dep = image_stats(perm.images)
+        other_inv, _, _, other_dep = image_stats(perm.inverse().images)
+        assert (other_inv, other_dep) == (inv, dep)
 
 
 def test_statistic_sandwich():
     for n in range(7):
         for perm in iter_group(n):
-            assert exc_count(perm) <= depth(perm) <= inv_count(perm)
+            inv, _, exc, dep = image_stats(perm.images)
+            assert exc <= dep <= inv
 
 
 def test_depth_distribution_total():
@@ -162,7 +153,7 @@ def test_factorization_depth_small(text, expected):
 def test_factorization_depth_matches_formula_exhaustively():
     for n in range(6):
         for perm in iter_group(n):
-            assert depth_via_factorization(perm) == depth(perm)
+            assert depth_via_factorization(perm) == image_stats(perm.images)[3]
 
 
 def test_factorization_depth_guard():
@@ -188,7 +179,7 @@ def test_derangements_are_the_fixed_point_free_subsequence_of_the_group():
     # a generator function, so the stream is lazy and perfbench counts its items
     assert inspect.isgeneratorfunction(iter_derangements)
     for n in range(9):
-        expected = [perm for perm in iter_group(n) if fix_count(perm) == 0]
+        expected = [perm for perm in iter_group(n) if image_stats(perm.images)[1] == 0]
         assert list(iter_derangements(n)) == expected
 
 
@@ -214,7 +205,7 @@ def test_alternating_examples():
 @given(perms)
 def test_inverse_roundtrip(perm):
     assert perm.inverse().inverse() == perm
-    assert depth(perm) == depth(perm.inverse())
+    assert image_stats(perm.images)[3] == image_stats(perm.inverse().images)[3]
 
 
 def test_text_roundtrip():

@@ -74,6 +74,23 @@ def test_runner_fails_exactly_the_record_whose_texts_differ(capsys, monkeypatch)
     assert out.endswith("4/5 checks passed\n")
 
 
+def test_a_check_named_twice_runs_once(capsys):
+    twice = verify.run_checks(["signed-gf", "cardinality", "signed-gf"], 2)
+    once = verify.run_checks(["signed-gf", "cardinality"], 2)
+    assert [r.as_record() for r in twice] == [r.as_record() for r in once]
+    assert len(once) == 5
+
+    argv = ["verify", "--check", "signed-gf", "--max-n", "2"]
+    assert main(argv) == 0
+    single = capsys.readouterr().out
+    assert main(argv + ["--check", "signed-gf"]) == 0
+    assert capsys.readouterr().out == single == (
+        "[PASS] signed-gf n=1\n[PASS] signed-gf n=2\n2/2 checks passed\n"
+    )
+    with pytest.raises(ValueError, match="^unknown checks: nope, nope$"):
+        verify.run_checks(["signed-gf", "nope", "nope"], 2)
+
+
 def test_derangement_table_computes_each_row_once(monkeypatch):
     requested = []
     signed_gf = identities.derangement_signed_gf
