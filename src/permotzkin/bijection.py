@@ -55,46 +55,49 @@ def encode(perm: Permutation) -> WeightedMotzkinPath:
     """Map a permutation to its weighted Motzkin path."""
     images = perm.images
     n = len(images)
-    inverse = [0] * (n + 1)
-    for i, v in enumerate(images, start=1):
-        inverse[v] = i
-
-    kinds: list[int] = []
-    heights: list[int] = []
+    opener = [0] * (n + 1)  # opener[v]: the i < v with sigma(i) = v, once that out-arc opens
+    kinds = [KIND_H3] * n
+    heights = [0] * n
     choices = [0] * n
     stack: list[int] = []  # open U indexes, for level pairing
     open_out: list[int] = []  # positions awaiting their image, ascending as m grows
     open_in: list[int] = []  # positions awaiting their preimage, ascending as m grows
     running = 0
-    for m in range(1, n + 1):
-        v = images[m - 1]
-        w = inverse[m]
-        if v == m:
-            kinds.append(KIND_H3)
-            heights.append(running)
+    for i, v in enumerate(images):
+        m = i + 1
+        if v == m:  # H3
+            heights[i] = running
             continue
-        if v > m and w > m:
-            running += 1
-            kinds.append(KIND_U)
-            heights.append(running)
-            stack.append(m - 1)
-        elif v < m and w < m:
-            kinds.append(KIND_D)
-            heights.append(running)
-            running -= 1
-        else:
-            kinds.append(KIND_H1 if v > m else KIND_H2)
-            heights.append(running)
-        if w < m:  # D or H1: rank of the opener among the out-arcs open at m
-            choices[m - 1] = rank = bisect_left(open_out, w)
-            del open_out[rank]
-        if v < m:  # D or H2: rank of the endpoint among the in-arcs open at m
-            rank = bisect_left(open_in, v)
-            del open_in[rank]
-            choices[stack.pop() if w < m else m - 1] = rank
+        w = opener[m]  # sigma^-1(m) when it is below m, else 0
         if v > m:  # U or H1 opens an out-arc
+            opener[v] = m
+            if w:  # H1: rank of the opener among the out-arcs open at m
+                kinds[i] = KIND_H1
+                heights[i] = running
+                choices[i] = rank = bisect_left(open_out, w)
+                del open_out[rank]
+            else:  # U also opens an in-arc
+                running += 1
+                kinds[i] = KIND_U
+                heights[i] = running
+                stack.append(i)
+                open_in.append(m)
             open_out.append(m)
-        if w > m:  # U or H2 opens an in-arc
+            continue
+        # D or H2: rank of the endpoint among the in-arcs open at m
+        rank = bisect_left(open_in, v)
+        del open_in[rank]
+        if w:  # D also closes an out-arc; its matching U carries the in-arc rank
+            kinds[i] = KIND_D
+            heights[i] = running
+            running -= 1
+            choices[stack.pop()] = rank
+            choices[i] = rank = bisect_left(open_out, w)
+            del open_out[rank]
+        else:  # H2 opens an in-arc
+            kinds[i] = KIND_H2
+            heights[i] = running
+            choices[i] = rank
             open_in.append(m)
 
     return _flat_path(tuple(kinds), tuple(heights), tuple(choices))

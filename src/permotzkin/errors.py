@@ -25,12 +25,14 @@ class Limit(NamedTuple):
 
 #: Every bound that refuses or caps an input, with the measured cost behind
 #: it (CPython 3.11.7, 2 vCPUs, in-process after import unless marked CLI).
+#: Costs marked "slow guest" were taken on a day the guest ran about 4x slow:
+#: brute_force_gf(12) took 2.0-2.3 s there, against the 0.59 s below.
 LIMITS: dict[str, Limit] = {
     # iter_group, iter_derangements (S_n filtered): S_10 3.3 s, D_10 3.1 s, ~n times more per n
     "enumeration": Limit(12, "enumeration is"),
     # depth_via_factorization: the search over S_7 takes 0.07 s, over S_8 1.0 s
     "factorization-search": Limit(7, "factorization search is"),
-    # enumerate_weighted: the 9! paths of length 9 take 0.9 s
+    # enumerate_weighted: the 9! paths of length 9 take 0.5 s (slow guest)
     "path-enumeration": Limit(10, "path enumeration is"),
     # expand of preset_depth and of custom specs: preset_depth to 30 takes 0.02 s
     "expansion": Limit(30, "expansion is", "order"),
@@ -40,7 +42,8 @@ LIMITS: dict[str, Limit] = {
     "brute-force": Limit(12, "brute force is"),
     # sign_imbalance_depth and _exc: one brute_force_gf(n) and a substitution
     "sign-imbalance": Limit(12, "sign imbalance is"),
-    # _pairing(n): 0.04 s for 161 KB at n = 8, 0.40 s for 1.4 MB at 9, ~10x at 10
+    # _pairing(n) with the _stats_by_rank(n) it reads, 2 x 161 KB at n = 8 and
+    # 2 x 1.4 MB at 9: 0.04 s at 8, 0.35 s at 9, ~10x at 10 (slow guest)
     "involution": Limit(9, "involution tables are"),
     # euler_numbers, which words its refusal in entries: E_0 .. E_50 take 0.2 ms
     "euler": Limit(50, "Euler table is", "limit"),
@@ -48,7 +51,8 @@ LIMITS: dict[str, Limit] = {
     "series-assembly": Limit(30, "series assembly is", "order"),
     # verify --max-n 9, CLI: 0.43 s and 22 MB
     "verify": Limit(9, "verify is", "max_n"),
-    # the last n of verify's bijection/cardinality/involution: 1.9/0.36/0.8 s more at n = 9;
+    # the last n of verify's bijection/cardinality/involution: 6.5/0.55/0.7 s more at
+    # n = 9 (slow guest, where verify --max-n 9 takes 1.0 s in-process);
     # and of refined-cf, which would take 0.9 s more for n = 9 .. 12
     "verify-walks": Limit(8),
     # the last n of verify's level-weights (1.5 ms at h = 22) and depth-min-cost (0.07 s at 7)

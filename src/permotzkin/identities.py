@@ -44,19 +44,23 @@ def derangement_signed_gf(n: int) -> MultiPoly:
     return brute_force_gf(n).substitute({"q": -1, "p": 0})
 
 
-def derangement_series_rhs(order: int) -> tuple[MultiPoly, ...]:
-    """z^n coefficients of the closed signed derangement series, n <= order.
+def _rhs_coefficient(n: int) -> MultiPoly:
+    """The z^n coefficient of the closed signed derangement series.
 
-    Only the pairs (k, i) with k + 1 + i = n and 0 <= i <= k - 1 contribute
-    to the coefficient of z^n, so each entry is a finite exact sum.
+    Only the pairs (k, i) with k + 1 + i = n and 0 <= i <= k - 1 contribute,
+    so it is a finite exact sum; i <= k - 1 = n - 2 - i holds exactly for i < n // 2.
     """
-    check_size(order, "series-assembly")
 
     def cell(k: int, i: int) -> MultiPoly:
         return (-1) ** k * math.comb(k - 1, i) * S ** (1 + i) * (1 + S) ** (k - 1 - i) * T**k
 
-    # i <= k - 1 = n - 2 - i holds exactly for i < n // 2
-    return tuple(MultiPoly.sum(cell(n - 1 - i, i) for i in range(n // 2)) for n in range(order + 1))
+    return MultiPoly.sum(cell(n - 1 - i, i) for i in range(n // 2))
+
+
+def derangement_series_rhs(order: int) -> tuple[MultiPoly, ...]:
+    """z^n coefficients of the closed signed derangement series, n <= order."""
+    check_size(order, "series-assembly")
+    return tuple(map(_rhs_coefficient, range(order + 1)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ def derangement_table_row(n: int) -> list[TableCell]:
     """Compare the t-layers of the signed derangement polynomial of n with
     those of the closed series' z^n coefficient, cell for cell."""
     computed = derangement_signed_gf(n).split_by_exponent("t")
-    expected = derangement_series_rhs(n)[n].split_by_exponent("t")
+    expected = _rhs_coefficient(n).split_by_exponent("t")
     zero = MultiPoly.zero()
     return [
         TableCell(n, k, expected.get(k, zero), computed.get(k, zero))

@@ -30,9 +30,12 @@ The table holds no permutation.  A permutation is named by its
 lexicographic rank, the position at which ``itertools.permutations`` yields
 it (its Lehmer code read in the factorial base), and ``_pairing(n)`` is a
 flat ``array`` of n! partner ranks with ``partner[r] == r`` on fixed points.
-One walk in that order builds it: ranks arrive ascending, so every depth
-layer is already sorted.  ``parity_reversing_involution`` ranks its
-argument, reads the partner and unranks it.
+It reads ``_stats_by_rank(n)``, the packed statistics of S_n in that order,
+built by a recurrence over the values still to place rather than by
+walking S_n; ``verify``'s S_n walks read the same table.  Ranks arrive
+ascending, so every depth layer is already sorted.
+``parity_reversing_involution`` ranks its argument, reads the partner and
+unranks it.
 """
 
 from __future__ import annotations
@@ -40,11 +43,13 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from functools import lru_cache
+from collections import defaultdict
+from functools import lru_cache, partial
+from typing import Iterable
 
 from .errors import LIMITS, SizeLimitError, check_size
 from .jfraction import brute_force_gf
-from .permutations import Permutation, image_stats
+from .permutations import Permutation
 
 
 def euler_numbers(limit: int) -> tuple[int, ...]:
@@ -109,30 +114,71 @@ def _unrank(rank: int, n: int) -> tuple[int, ...]:
     return tuple(images)
 
 
+def _pack(stats: Iterable[int]) -> int:
+    """(inv, fix, exc, depth) as ``_stats_by_rank`` holds them, one byte per
+    field from the low end; every field must be below 256.
+
+    >>> hex(_pack((1, 0, 1, 1)))
+    '0x1010001'
+    """
+    return int.from_bytes(bytes(stats), "little")
+
+
+#: The bits of a packed (inv, fix, exc, depth) that hold inv, exc and depth.
+_TRIPLE = _pack((255, 0, 255, 255))
+#: A rise of 1 in each of inv, exc and depth.  No byte borrows when it is
+#: taken off a permutation of positive depth, whose inv and exc are positive too.
+_UNIT = _pack((1, 0, 1, 1))
+
+
+@lru_cache(maxsize=None)
+def _stats_by_rank(n: int) -> array:
+    """The packed statistics of S_n by lexicographic rank.
+
+    The block of a set R of values still to place, at the last |R|
+    positions, is the blocks of R - {v} for v in R ascending, each entry
+    raised by what v adds at position n - |R| + 1: one inversion per
+    smaller value of R, and its fix, exc and depth.  Only two set sizes
+    are held at a time.
+
+    >>> [hex(packed) for packed in _stats_by_rank(2)]
+    ['0x200', '0x1010001']
+    """
+    check_size(n, "involution")  # which also keeps every field below 256
+    blocks = {0: array("I", [0])}  # by the bit mask of R
+    for size in range(1, n + 1):
+        position = n - size + 1
+        held = {}
+        for values in itertools.combinations(range(1, n + 1), size):
+            mask = sum(1 << v for v in values)
+            block = array("I")
+            for below, v in enumerate(values):
+                step = _pack((below, v == position, v > position, max(v - position, 0)))
+                block.extend(map(step.__add__, blocks[mask ^ 1 << v]))
+            held[mask] = block
+        blocks = held
+    return blocks.popitem()[1]
+
+
 @lru_cache(maxsize=None)
 def _pairing(n: int) -> array:
     """Partner ranks of S_n by lexicographic rank; fixed points map to themselves."""
-    groups: dict[tuple[int, int], dict[int, array]] = {}
-    for rank, images in enumerate(itertools.permutations(range(1, n + 1))):
-        inv, _, exc, dep = image_stats(images)
-        layers = groups.setdefault((inv - dep, exc - dep), {})
-        layers.setdefault(dep, array("i")).append(rank)
+    stats = _stats_by_rank(n)
+    layers: defaultdict[int, array] = defaultdict(partial(array, "i"))
+    for rank, packed in enumerate(stats):  # ascending, so every layer is sorted
+        layers[packed & _TRIPLE].append(rank)
 
-    partner = array("i", range(math.factorial(n)))
-    for layers in groups.values():
-        carry = array("i")
-        previous_depth: int | None = None
-        for dep in sorted(layers):
-            layer = layers[dep]
-            if previous_depth is not None and dep == previous_depth + 1:
-                matched = min(len(carry), len(layer))
-                for low, high in zip(carry[:matched], layer[:matched]):
-                    partner[low] = high
-                    partner[high] = low
-                carry = layer[matched:]
-            else:
-                carry = layer
-            previous_depth = dep
+    partner = array("i", range(len(stats)))
+    carry: dict[int, array] = {}  # the unmatched tail of each layer seen
+    for key in sorted(layers):  # depth, the top byte, ascending
+        layer = layers[key]
+        below = carry.pop(key - _UNIT, None)  # the chain's layer one depth down
+        if below:
+            for low, high in zip(below, layer):
+                partner[low] = high
+                partner[high] = low
+            layer = layer[len(below) :]
+        carry[key] = layer
     return partner
 
 

@@ -275,24 +275,25 @@ def enumerate_weighted(n: int) -> Iterator[WeightedMotzkinPath]:
     # moves[h]: each (kind, height, choice) step open at running height h,
     # with the running height after it, in enumeration order.
     moves = [
-        [((KIND_U, h + 1, d), h + 1) for d in range(h + 1)]
-        + [((KIND_D, h, d), h - 1) for d in range(h)]
-        + [((kind, h, d), h) for kind in (KIND_H1, KIND_H2) for d in range(h)]
-        + [((KIND_H3, h, 0), h)]
+        [(KIND_U, h + 1, d, h + 1) for d in range(h + 1)]
+        + [(KIND_D, h, d, h - 1) for d in range(h)]
+        + [(kind, h, d, h) for kind in (KIND_H1, KIND_H2) for d in range(h)]
+        + [(KIND_H3, h, 0, h)]
         for h in range(n // 2 + 1)
     ]
-    prefix: list[tuple[int, int, int]] = []
-
-    def extend(remaining: int, height: int) -> Iterator[WeightedMotzkinPath]:
-        # A step may end at height h only if the h steps back down still fit.
-        left = remaining - 1
-        for step, after in moves[height]:
-            if after <= left:
-                prefix.append(step)
-                if left:
-                    yield from extend(left, after)
-                else:
-                    yield _flat_path(*zip(*prefix))
-                prefix.pop()
-
-    yield from extend(n, 0)
+    # menus[left][h]: the moves[h] that end low enough for ``left`` more steps to come back down
+    menus = [[[move for move in menu if move[3] <= left] for menu in moves] for left in range(n)]
+    kinds, heights, choices = [0] * n, [0] * n, [0] * n
+    last = n - 1
+    todo = [iter(menus[last][0])] + [iter(())] * last  # the moves left to try at each position
+    i = 0
+    while i >= 0:
+        for kinds[i], heights[i], choices[i], after in todo[i]:
+            if i == last:
+                yield _flat_path(tuple(kinds), tuple(heights), tuple(choices))
+            else:
+                i += 1
+                todo[i] = iter(menus[last - i][after])
+                break
+        else:  # every move at position i is spent
+            i -= 1

@@ -11,24 +11,27 @@ n it covers for a given ``max_n``: from its first n through an entry of
 including all the work behind it, and builds its ``ReportRecord``;
 ``CHECKS`` holds one runner per name.
 
-The S_n walks do each permutation's work once.  ``bijection`` validates
-each image once, in ``motzkin.path_exponents``, which also sums its weight,
-and compares the decode kernel's images with the permutation's.  It keeps
-no path set: validation, the round trip and the n! of ``cardinality`` make
-its image the whole set.  ``involution`` reads one ``_pairing(n)`` and one
-stats pass (three byte arrays), both indexed by lexicographic rank, the
-order of ``itertools.permutations``.  It walks S_n once, for the stats,
-then loops over ranks, keeps no permutation and unranks one only to name a
-failure.  A partner rank outside 0 .. n! - 1 is reported as not involutive.
+The S_n walks do each permutation's work once, and share one table:
+``involution._stats_by_rank(n)``, the packed (inv, fix, exc, depth) of every
+permutation by lexicographic rank, the order of ``itertools.permutations``,
+built once per n by a recurrence that never looks at a permutation.
+``bijection`` validates each image once, in ``motzkin.path_exponents``,
+which also sums its weight, compares that weight with the table's entry,
+and compares the decode kernel's images with the permutation's.  So it
+checks every entry of the table too.  It keeps no path set: validation,
+the round trip and the n! of ``cardinality`` make its image the whole set.
+``involution`` reads ``_pairing(n)``, built from the same table, and the
+table itself, loops over ranks, keeps no permutation and unranks one only
+to name a failure.  A partner rank outside 0 .. n! - 1 is reported as not
+involutive.  Neither walk calls ``image_stats``; ``depth-min-cost`` holds
+it to the factorization oracle.
 ``level-weights`` holds the step menus to ``expand``'s own coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,9 +70,10 @@ class ReportRecord:
 
 def _bijection(n: int) -> tuple[str, str]:
     expected = f"bijective onto the {n}! weighted paths, weights preserved"
-    for perm in iter_group(n):
+    for perm, stats in zip(iter_group(n), involution._stats_by_rank(n)):
         path = bijection.encode(perm)
-        if motzkin.path_exponents(path) != image_stats(perm.images):
+        # a valid path's exponents are some permutation's statistics, each below 256
+        if involution._pack(motzkin.path_exponents(path)) != stats:
             return expected, f"weight mismatch at {perm.to_text()!r}"
         if bijection._decode_images(path) != perm.images:
             return expected, f"round trip failed at {perm.to_text()!r}"
@@ -105,16 +109,15 @@ def _involution(n: int) -> tuple[str, str]:
     summary = "involutive, equal deltas in {{1,0,-1}}, {} fixed points".format
     expected = summary(involution.euler_numbers(n)[n] if n % 2 else 0)
     partner = involution._pairing(n)
-    stats = array("B")  # (inv, fix, exc, depth) rank by rank, each a byte while n <= 23
-    for images in itertools.permutations(range(1, n + 1)):
-        stats.extend(image_stats(images))
-    inv, exc, dep = stats[0::4], stats[2::4], stats[3::4]
+    stats = involution._stats_by_rank(n)
+    triple, deltas = involution._TRIPLE, (-involution._UNIT, 0, involution._UNIT)
     fixed = 0
     for rank, other in enumerate(partner):
-        if 0 <= other < len(inv) and partner[other] == rank:
-            delta = inv[rank] - inv[other]
-            equal = delta == exc[rank] - exc[other] == dep[rank] - dep[other]
-            if not (equal and delta in (-1, 0, 1)):
+        if 0 <= other < len(stats) and partner[other] == rank:
+            # fields stay below 128 at n <= 9, so this packed difference is 0 or
+            # +-_UNIT only when inv, exc and depth all move by the same delta in {-1, 0, 1}
+            delta = (stats[other] & triple) - (stats[rank] & triple)
+            if delta not in deltas:
                 problem = "delta law broken"
             elif (delta == 0) != (other == rank):
                 problem = "delta/fixed mismatch"
@@ -133,7 +136,7 @@ def _signed_gf(n: int) -> tuple[str, str]:
 
 
 def _derangement_series(n: int) -> tuple[str, str]:
-    expected = identities.derangement_series_rhs(n)[n]
+    expected = identities._rhs_coefficient(n)
     return str(expected), str(identities.derangement_signed_gf(n))
 
 

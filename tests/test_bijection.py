@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,53 @@ def reference_encode(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(kinds), tuple(heights), tuple(choices)
 
 
+def bisecting_encode(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(kinds, heights, choices) by bisecting sorted open-arc lists, reading
+    sigma^-1 from a table built before the walk and appending each step."""
+    n = len(images)
+    inverse = [0] * (n + 1)
+    for i, v in enumerate(images, start=1):
+        inverse[v] = i
+    kinds: list[int] = []
+    heights: list[int] = []
+    choices = [0] * n
+    stack: list[int] = []
+    open_out: list[int] = []
+    open_in: list[int] = []
+    running = 0
+    for m in range(1, n + 1):
+        v = images[m - 1]
+        w = inverse[m]
+        if v == m:
+            kinds.append(KIND_H3)
+            heights.append(running)
+            continue
+        if v > m and w > m:
+            running += 1
+            kinds.append(KIND_U)
+            heights.append(running)
+            stack.append(m - 1)
+        elif v < m and w < m:
+            kinds.append(KIND_D)
+            heights.append(running)
+            running -= 1
+        else:
+            kinds.append(KIND_H1 if v > m else KIND_H2)
+            heights.append(running)
+        if w < m:
+            choices[m - 1] = rank = bisect_left(open_out, w)
+            del open_out[rank]
+        if v < m:
+            rank = bisect_left(open_in, v)
+            del open_in[rank]
+            choices[stack.pop() if w < m else m - 1] = rank
+        if v > m:
+            open_out.append(m)
+        if w > m:
+            open_in.append(m)
+    return tuple(kinds), tuple(heights), tuple(choices)
+
+
 def flat(path: WeightedMotzkinPath) -> tuple[tuple[int, ...], ...]:
     return path.kinds, path.heights, path.choices
 
@@ -98,6 +146,15 @@ def test_encode_matches_the_scanning_reference_on_random_permutations(n):
     for seed in range(5):
         perm = random_perm(n, f"encode:{n}:{seed}")
         assert flat(encode(perm)) == reference_encode(perm.images)
+
+
+def test_encode_matches_the_bisecting_reference():
+    for n in range(9):
+        for images in itertools.permutations(range(1, n + 1)):
+            assert flat(encode(Permutation(images))) == bisecting_encode(images)
+    for seed in range(3):
+        perm = random_perm(4000, f"encode:4000:{seed}")
+        assert flat(encode(perm)) == bisecting_encode(perm.images)
 
 
 def test_large_permutation_round_trips_with_its_weight():

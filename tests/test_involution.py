@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -139,7 +140,7 @@ def tuple_keyed_pairing(n):
     return pairing
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_rank_table_matches_the_tuple_keyed_greedy(n):
     group = list(itertools.permutations(range(1, n + 1)))
     rank = {images: r for r, images in enumerate(group)}
@@ -153,3 +154,26 @@ def test_rank_and_unrank_follow_itertools_order(n):
     for r, images in enumerate(itertools.permutations(range(1, n + 1))):
         assert involution._rank(images) == r
         assert involution._unrank(r, n) == images
+
+
+def packed_stats(images):
+    inv, fix, exc, dep = image_stats(images)
+    return inv | fix << 8 | exc << 16 | dep << 24
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_statistics_table_matches_image_stats(n):
+    table = involution._stats_by_rank(n)
+    group = itertools.permutations(range(1, n + 1))
+    assert table == array("I", map(packed_stats, group))
+    for r, packed in enumerate(table):
+        assert packed == packed_stats(involution._unrank(r, n))
+
+
+def test_statistics_table_of_s0_is_one_zero_entry():
+    assert involution._stats_by_rank(0) == array("I", [0])
+
+
+def test_statistics_table_guard():
+    with pytest.raises(SizeLimitError):
+        involution._stats_by_rank(10)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permotzkin import motzkin
 from permotzkin.algebra import MultiPoly, P, Q, S, T, q_integer
 from permotzkin.bijection import decode, encode
 from permotzkin.errors import InvalidPathError, ParseError, SizeLimitError
@@ -139,6 +140,51 @@ def test_enumeration_yields_valid_unique_paths():
         assert ok, message
         seen.add(path)
     assert len(seen) == math.factorial(5)
+
+
+def recursive_enumeration(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """(kinds, heights, choices) of every path of length n, depth-first by
+    position, each step trying U, D, H1, H2, H3 with ascending choices."""
+    kinds = [step.value for step in StepKind]
+    paths = []
+
+    def extend(prefix: list, height: int) -> None:
+        left = n - len(prefix)
+        if not left:
+            paths.append(tuple(map(tuple, zip(*prefix))) if prefix else ((), (), ()))
+            return
+        menu = [("U", height + 1, d, height + 1) for d in range(height + 1)]
+        menu += [("D", height, d, height - 1) for d in range(height)]
+        menu += [(kind, height, d, height) for kind in ("H1", "H2") for d in range(height)]
+        menu += [("H3", height, 0, height)]
+        for kind, h, d, after in menu:
+            if after <= left - 1:
+                extend(prefix + [(kinds.index(kind), h, d)], after)
+
+    extend([], 0)
+    return paths
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_order_matches_the_recursive_reference(n):
+    paths = [(p.kinds, p.heights, p.choices) for p in enumerate_weighted(n)]
+    assert paths == recursive_enumeration(n)
+
+
+def test_enumeration_is_lazy(monkeypatch):
+    built = []
+    flat_path = motzkin._flat_path
+
+    def counted(*flat):
+        built.append(flat)
+        return flat_path(*flat)
+
+    monkeypatch.setattr(motzkin, "_flat_path", counted)
+    first = next(enumerate_weighted(10))  # 10! paths in all
+    ups = [f"U({h},0)" for h in range(1, 6)]
+    downs = [f"D({h},0)" for h in range(5, 0, -1)]
+    assert first.to_text() == " ".join(ups + downs)
+    assert len(built) == 1
 
 
 def test_enumeration_guard():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permotzkin import bijection, identities, involution, jfraction, motzkin, verify
+from permotzkin import bijection, identities, involution, jfraction, motzkin, permutations, verify
 from permotzkin.algebra import Q
 from permotzkin.cli import main
 from permotzkin.permutations import Permutation, image_stats
@@ -276,24 +277,45 @@ def test_bijection_check_never_enumerates_paths(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_involution_check_does_each_permutations_work_once(monkeypatch, n):
-    calls = {"image_stats": 0, "_pairing": 0}
+    # bijection, involution and the pairing read one statistics table, built
+    # once for n; neither walk computes a permutation's statistics itself.
+    builds = {"_stats_by_rank": [], "_pairing": []}
 
     def counted(name, function):
-        def wrapper(*args):
-            calls[name] += 1
-            return function(*args)
+        @functools.lru_cache(maxsize=None)
+        def build(m):
+            builds[name].append(m)
+            return function(m)
 
-        return wrapper
+        return build
 
-    monkeypatch.setattr(verify, "image_stats", counted("image_stats", verify.image_stats))
-    monkeypatch.setattr(involution, "_pairing", counted("_pairing", involution._pairing))
-    expected, computed = verify._involution(n)
-    assert computed == expected
-    assert calls == {"image_stats": math.factorial(n), "_pairing": 1}
+    def refuse(images):
+        raise AssertionError("an S_n walk called image_stats")
+
+    for name in builds:
+        fresh = counted(name, getattr(involution, name).__wrapped__)
+        monkeypatch.setattr(involution, name, fresh)
+    monkeypatch.setattr(verify, "image_stats", refuse)
+    monkeypatch.setattr(permutations, "image_stats", refuse)
+    for check in (verify._bijection, verify._involution):
+        expected, computed = check(n)
+        assert computed == expected
+    assert builds == {"_stats_by_rank": [n], "_pairing": [n]}
+
+
+def test_bijection_check_catches_a_corrupt_statistics_table(monkeypatch):
+    # Only the bijection check reads the fixed points from the shared table,
+    # so a wrong fix byte fails its record and no other: the table is checked
+    # against the paths' weights, never trusted as it stands.
+    stats = involution._stats_by_rank
+    table = stats(5)[:]
+    table[rank((2, 1, 3, 4, 5))] ^= 1 << 8  # 3 fixed points read as 2
+    monkeypatch.setattr(involution, "_stats_by_rank", lambda m: table if m == 5 else stats(m))
+    assert failed_records() == [("bijection", 5, "weight mismatch at '2 1 3 4 5'")]
 
 
 def test_involution_check_names_no_permutation_when_it_passes(monkeypatch):
-    # The check walks S_n once, for the stats; it unranks only to name a failure.
+    # The check reads the statistics table; it unranks only to name a failure.
     def refuse(rank, n):
         raise AssertionError("the passing involution check unranked a permutation")
 
