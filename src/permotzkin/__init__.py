@@ -29,7 +29,6 @@ from .jfraction import (
 from .motzkin import (
     StepKind,
     WeightedMotzkinPath,
-    WeightedStep,
     enumerate_weighted,
     path_exponents,
     path_weight,
@@ -59,7 +58,6 @@ __all__ = [
     "StepKind",
     "T",
     "WeightedMotzkinPath",
-    "WeightedStep",
     "brute_force_depth_gf",
     "brute_force_gf",
     "decode",

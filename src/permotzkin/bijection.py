@@ -48,7 +48,7 @@ from .motzkin import (
     _flat_path,
     path_exponents,
 )
-from .permutations import Permutation
+from .permutations import Permutation, _trusted
 
 
 def encode(perm: Permutation) -> WeightedMotzkinPath:
@@ -130,6 +130,7 @@ def _decode_images(path: WeightedMotzkinPath) -> tuple[int, ...]:
 
 
 def decode(path: WeightedMotzkinPath) -> Permutation:
-    """Invert :func:`encode`; rejects invalid paths."""
+    """Invert :func:`encode`; rejects invalid paths.  A valid path decodes to a
+    permutation by construction, so the images are not checked again."""
     path_exponents(path)
-    return Permutation(_decode_images(path))
+    return _trusted(_decode_images(path))

@@ -62,11 +62,26 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+class _LongNumber(str):
+    """A JSON number past the interpreter's limit on digits: ``from_records``
+    refuses it, as it is no ``int``, and its repr names only its length."""
+
+    def __repr__(self) -> str:
+        return f"<number of {len(self.lstrip('-'))} digits>"
+
+
+def _json_int(token: str) -> int | str:
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's limit on digits
+        return _LongNumber(token)
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     text = _operand(args.path).strip()
     if text.startswith("["):
         try:
-            records = json.loads(text)
+            records = json.loads(text, parse_int=_json_int)
         except RecursionError:  # not a ValueError, so main would not catch it
             raise ParseError("JSON path is nested too deeply") from None
         path = WeightedMotzkinPath.from_records(records)

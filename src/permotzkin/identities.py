@@ -12,8 +12,9 @@ depth, weighted by (-1)^inv:
       z^(k+1+i) ) t^k
 
   whose z^n coefficients must agree with it.  ``derangement_table_row``
-  compares them t-layer by t-layer: the cell of t^k in row n is the one
-  term with k + 1 + i = n, (-1)^k C(k-1, i) s^(1+i) (1+s)^(k-1-i).
+  pairs them t-layer by t-layer, as (k, expected, computed) tuples: the
+  expected cell of t^k in row n is the one term with k + 1 + i = n,
+  (-1)^k C(k-1, i) s^(1+i) (1+s)^(k-1-i).
 
 Both signed sums are substitutions into the joint distribution
 ``jfraction.brute_force_gf``: q -> -1 turns q^inv into the sign, p -> 1 sums
@@ -23,7 +24,6 @@ over all of S_n, and p -> 0 keeps exactly the fixed-point-free permutations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebra import MultiPoly, S, T
 from .errors import LIMITS, check_size
@@ -63,32 +63,20 @@ def derangement_series_rhs(order: int) -> tuple[MultiPoly, ...]:
     return tuple(map(_rhs_coefficient, range(order + 1)))
 
 
-@dataclass(frozen=True)
-class TableCell:
-    n: int
-    t_power: int
-    expected: MultiPoly
-    computed: MultiPoly
-
-    @property
-    def matches(self) -> bool:
-        return self.expected == self.computed
-
-
-def derangement_table_row(n: int) -> list[TableCell]:
-    """Compare the t-layers of the signed derangement polynomial of n with
-    those of the closed series' z^n coefficient, cell for cell."""
+def derangement_table_row(n: int) -> list[tuple[int, MultiPoly, MultiPoly]]:
+    """The cells (k, expected, computed) of row n: the t^k layers of the closed
+    series' z^n coefficient and of the signed derangement polynomial of n."""
     computed = derangement_signed_gf(n).split_by_exponent("t")
     expected = _rhs_coefficient(n).split_by_exponent("t")
     zero = MultiPoly.zero()
     return [
-        TableCell(n, k, expected.get(k, zero), computed.get(k, zero))
+        (k, expected.get(k, zero), computed.get(k, zero))
         for k in sorted(computed.keys() | expected.keys())
     ]
 
 
-def derangement_table_report() -> list[TableCell]:
-    """Rows 2 .. ``LIMITS["derangement-table"]`` of the table.  No command calls it;
-    it stays, with its ``TableCell`` records, because perfbench's metrics name it."""
+def derangement_table_report() -> list[tuple[int, int, MultiPoly, MultiPoly]]:
+    """The cells (n, k, expected, computed) of rows 2 .. ``LIMITS["derangement-table"]``.
+    No command calls it; it stays because perfbench's metrics name it."""
     last = LIMITS["derangement-table"].bound
-    return [cell for n in range(2, last + 1) for cell in derangement_table_row(n)]
+    return [(n, *cell) for n in range(2, last + 1) for cell in derangement_table_row(n)]

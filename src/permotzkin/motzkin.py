@@ -25,15 +25,16 @@ e.g. ``U(1,0) H3(1,0) D(1,0)``.  A JSON array of records with fields
 ``kind``/``height``/``choice`` is accepted and produced as well.
 
 Storage: a ``WeightedMotzkinPath`` holds three parallel tuples of ints,
-``kinds`` (codes indexing ``STEP_KINDS``), ``heights`` and ``choices``, so
-equality and hashing compare int tuples.  ``path.steps`` is a read-only view
-that builds ``WeightedStep`` objects on demand; enumeration and the
-bijection read and write the tuples directly.  Heights are stored rather
-than derived, so a wrong height in user input is reported as such.  One
-walk, ``path_exponents``, validates a path and sums its weight in the same
-pass; ``validate``, ``path_weight`` and ``bijection.decode`` run it.
-Heights and choices are ASCII digits in text and ``int``s in JSON records;
-nothing else (``1_0``, other digits, floats, bools, strings) is coerced.
+``kinds`` (codes indexing ``STEP_KINDS``), ``heights`` and ``choices``, which
+every kernel reads, so equality and hashing compare int tuples.  A path is
+built only by ``from_text``, ``from_records``, ``bijection.encode`` and
+``enumerate_weighted``; it is read through the tuples, ``to_text`` and
+``to_records``.  Heights are stored rather than derived, so a wrong height
+in user input is reported as such.  One walk, ``path_exponents``, validates
+a path and sums its weight in the same pass; ``validate``, ``path_weight``
+and ``bijection.decode`` run it.  Heights and choices are ASCII digits in
+text and ``int``s in JSON records; nothing else (``1_0``, other digits,
+floats, bools, strings) is coerced.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .algebra import Monomial, MultiPoly
 from .errors import InvalidPathError, ParseError, check_size
@@ -55,9 +55,6 @@ class StepKind(enum.Enum):
     H2 = "H2"
     H3 = "H3"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 #: ``WeightedMotzkinPath.kinds`` stores indexes into this table.
 STEP_KINDS: tuple[StepKind, ...] = tuple(StepKind)
@@ -67,25 +64,13 @@ _NAMES = tuple(kind.value for kind in STEP_KINDS)
 _TOKEN = re.compile(r"(U|D|H1|H2|H3)\(([0-9]+),([0-9]+)\)")
 
 
-@dataclass(frozen=True)
-class WeightedStep:
-    kind: StepKind
-    height: int
-    choice: int
-
-
 class WeightedMotzkinPath:
     """An immutable path: parallel tuples of kind codes, heights and choices."""
 
     __slots__ = ("_flat",)
 
-    def __init__(self, steps: Iterable[WeightedStep]) -> None:
-        steps = tuple(steps)
-        self._flat = (
-            tuple(_CODES[step.kind] for step in steps),
-            tuple(step.height for step in steps),
-            tuple(step.choice for step in steps),
-        )
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("build a path with WeightedMotzkinPath.from_text or .from_records")
 
     @property
     def kinds(self) -> tuple[int, ...]:
@@ -99,14 +84,6 @@ class WeightedMotzkinPath:
     @property
     def choices(self) -> tuple[int, ...]:
         return self._flat[2]
-
-    @property
-    def steps(self) -> tuple[WeightedStep, ...]:
-        """The steps as ``WeightedStep`` objects, built on each access."""
-        return tuple(
-            WeightedStep(STEP_KINDS[kind], height, choice)
-            for kind, height, choice in zip(*self._flat)
-        )
 
     def __len__(self) -> int:
         return len(self._flat[0])
@@ -129,9 +106,15 @@ class WeightedMotzkinPath:
             match = _TOKEN.fullmatch(token)
             if match is None:
                 raise ParseError(f"step {index}: cannot parse {token!r}")
-            kinds.append(_NAMES.index(match.group(1)))
-            heights.append(int(match.group(2)))
-            choices.append(int(match.group(3)))
+            kind, height, choice = match.groups()
+            kinds.append(_NAMES.index(kind))
+            try:
+                heights.append(int(height))
+                choices.append(int(choice))
+            except ValueError:  # the longer number is past the interpreter's limit on digits
+                digits, field = max((len(height), "height"), (len(choice), "choice"))
+                problem = f"step {index}: {field} of {digits} digits is out of range"
+                raise ParseError(problem) from None
         return _flat_path(tuple(kinds), tuple(heights), tuple(choices))
 
     def to_text(self) -> str:
@@ -171,14 +154,14 @@ def _flat_path(
     return path
 
 
-def step_weight(step: WeightedStep) -> MultiPoly:
-    """The weight monomial of a single step (see the menu in the module doc):
-    an oracle apart from ``path_exponents``, which the tests sum along paths
-    and ``verify``'s ``level-weights`` sums over each menu."""
-    kind, h, d = step.kind, step.height, step.choice
+def step_weight(kind: StepKind, h: int, d: int) -> MultiPoly:
+    """The weight monomial of one step of ``kind`` at height ``h`` with choice
+    ``d`` (see the menu in the module doc): an oracle apart from
+    ``path_exponents``, which the tests sum along paths and ``verify``'s
+    ``level-weights`` sums over each menu."""
     if kind is StepKind.H3:
         if h < 0 or d != 0:
-            raise InvalidPathError(f"bad H3 step {step}")
+            raise InvalidPathError(f"H3 needs height >= 0 and choice 0, got ({h},{d})")
         return MultiPoly.monomial((2 * h, 1, 0, h))
     if h < 1:
         raise InvalidPathError(

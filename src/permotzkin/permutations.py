@@ -50,9 +50,6 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
@@ -74,6 +71,11 @@ class Permutation:
                     raise ValueError
                 value = int(token)
             except ValueError:
+                digits = token[token[0] in "+-" :]
+                if token.isascii() and digits.isdigit():  # past the interpreter's limit on digits
+                    raise ParseError(
+                        f"position {index}: value of {len(digits)} digits out of range 1..{n}"
+                    ) from None
                 raise ParseError(f"position {index}: {token!r} is not an integer") from None
             if not 1 <= value <= n:
                 raise ParseError(f"position {index}: value {value} out of range 1..{n}")

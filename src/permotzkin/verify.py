@@ -38,7 +38,7 @@ from typing import Callable
 from . import bijection, identities, involution, jfraction, motzkin
 from .algebra import MultiPoly, S, T
 from .errors import LIMITS, check_size
-from .motzkin import StepKind, WeightedStep
+from .motzkin import StepKind
 from .permutations import Permutation, depth_via_factorization, image_stats, iter_group
 
 
@@ -143,9 +143,9 @@ def _derangement_series(n: int) -> tuple[str, str]:
 def _derangement_table(n: int) -> tuple[str, str]:
     row = identities.derangement_table_row(n)
     expected = f"{len(row)} cells match"
-    for cell in row:
-        if not cell.matches:
-            return expected, f"t^{cell.t_power}: expected {cell.expected}, got {cell.computed}"
+    for k, want, got in row:
+        if want != got:
+            return expected, f"t^{k}: expected {want}, got {got}"
     return expected, expected
 
 
@@ -154,11 +154,11 @@ def _level_weights(h: int) -> tuple[str, str]:
     mismatch = f"mismatch at height {h}"
 
     def weights(kind: StepKind) -> MultiPoly:
-        return MultiPoly.sum(motzkin.step_weight(WeightedStep(kind, h, d)) for d in range(h))
+        return MultiPoly.sum(motzkin.step_weight(kind, h, d) for d in range(h))
 
     spec = jfraction.preset_refined()
     gamma_sum = weights(StepKind.H1) + weights(StepKind.H2)
-    gamma_sum = gamma_sum + motzkin.step_weight(WeightedStep(StepKind.H3, h, 0))
+    gamma_sum = gamma_sum + motzkin.step_weight(StepKind.H3, h, 0)
     if gamma_sum != spec.gamma(h):
         return expected, mismatch
     if h >= 1 and weights(StepKind.U) * weights(StepKind.D) != spec.lam(h):

@@ -27,7 +27,6 @@ from permotzkin.jfraction import (
 )
 from permotzkin.motzkin import (
     StepKind,
-    WeightedStep,
     enumerate_weighted,
     path_weight,
     step_weight,
@@ -130,7 +129,7 @@ def test_criterion_7_derangement_series_and_table():
     for n in range(1, 10):
         assert derangement_signed_gf(n) == series[n]
     cells = derangement_table_report()
-    assert cells and all(cell.matches for cell in cells)
+    assert cells and all(expected == computed for _, _, expected, computed in cells)
     nine = derangement_signed_gf(9).split_by_exponent("t")
     assert nine[5] == -4 * S**4 * (1 + S) == series[9].split_by_exponent("t")[5]
     eight = derangement_signed_gf(8).split_by_exponent("t")
@@ -143,25 +142,15 @@ def test_criterion_8_consistency():
         assert sum(1 for _ in enumerate_weighted(n)) == math.factorial(n)
     qt = Q * T
     for h in range(1, 7):
-        up = sum(
-            (step_weight(WeightedStep(StepKind.U, h, d)) for d in range(h)),
-            MultiPoly.zero(),
-        )
-        down = sum(
-            (step_weight(WeightedStep(StepKind.D, h, d)) for d in range(h)),
-            MultiPoly.zero(),
-        )
+        up = sum((step_weight(StepKind.U, h, d) for d in range(h)), MultiPoly.zero())
+        down = sum((step_weight(StepKind.D, h, d) for d in range(h)), MultiPoly.zero())
         assert up * down == S * q_integer(h) ** 2 * qt ** (2 * h - 1)
         horiz = sum(
-            (
-                step_weight(WeightedStep(kind, h, d))
-                for kind in (StepKind.H1, StepKind.H2)
-                for d in range(h)
-            ),
-            step_weight(WeightedStep(StepKind.H3, h, 0)),
+            (step_weight(kind, h, d) for kind in (StepKind.H1, StepKind.H2) for d in range(h)),
+            step_weight(StepKind.H3, h, 0),
         )
         assert horiz == ((1 + S) * q_integer(h) + P * Q**h) * qt**h
-    assert step_weight(WeightedStep(StepKind.H3, 0, 0)) == P
+    assert step_weight(StepKind.H3, 0, 0) == P
     for n in range(7):
         for perm in iter_group(n):
             assert depth_via_factorization(perm) == image_stats(perm.images)[3]

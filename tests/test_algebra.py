@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -271,6 +272,20 @@ def test_power_takes_no_square_past_its_last_factor():
         assert (MultiPoly.monomial((0, 0, 0, e)) ** 1).terms() == {(0, 0, 0, e): 1}
     with pytest.raises(ValueError):
         Q**EXPONENT_LIMIT
+
+
+def test_operations_refuse_what_is_not_an_integer_or_polynomial():
+    with pytest.raises(TypeError, match="^coefficient 1.5 is not an integer$"):
+        MultiPoly({(0, 0, 0, 0): 1.5})
+    for operation in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            operation(Q, "x")
+    assert Q.__eq__("x") is NotImplemented and Q != "x"
+    for exponent in (-1, 1.5):
+        with pytest.raises(ValueError, match="^exponent must be a non-negative integer"):
+            Q**exponent
+    with pytest.raises(TypeError, match="^substitution value 1.5 is not an integer$"):
+        Q.substitute({"q": 1.5})
 
 
 # -- the multiply-accumulate kernel against the same reference ----------------

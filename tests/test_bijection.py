@@ -17,7 +17,6 @@ from permotzkin.motzkin import (
     KIND_H2,
     KIND_H3,
     KIND_U,
-    StepKind,
     WeightedMotzkinPath,
     enumerate_weighted,
     path_exponents,
@@ -210,10 +209,10 @@ def test_round_trip_exhaustively():
 def test_step_count_identities():
     for perm in iter_group(6):
         _, fix, exc, _ = image_stats(perm.images)
-        kinds = [step.kind for step in encode(perm).steps]
-        assert kinds.count(StepKind.H3) == fix
-        assert kinds.count(StepKind.U) + kinds.count(StepKind.H1) == exc
-        assert kinds.count(StepKind.U) == kinds.count(StepKind.D)
+        kinds = encode(perm).kinds
+        assert kinds.count(KIND_H3) == fix
+        assert kinds.count(KIND_U) + kinds.count(KIND_H1) == exc
+        assert kinds.count(KIND_U) == kinds.count(KIND_D)
 
 
 def test_aggregate_weights_match_brute_force():
@@ -234,15 +233,50 @@ def test_round_trip_property(perm):
 
 @settings(max_examples=300)
 @given(step_sequences())
-def test_decode_reports_the_reference_diagnostic(steps):
-    path = WeightedMotzkinPath(steps)
-    ok, message = reference_validate(steps)
+def test_decode_reports_the_reference_diagnostic(records):
+    path = WeightedMotzkinPath.from_records(records)
+    ok, message = reference_validate(records)
     if ok:
         assert encode(decode(path)) == path
         return
     with pytest.raises(InvalidPathError) as error:
         decode(path)
     assert str(error.value) == message
+
+
+# decode builds its result unchecked, so these hold that a valid path's images are a permutation
+def test_every_valid_path_decodes_to_a_permutation():
+    for n in range(9):
+        for path in enumerate_weighted(n):
+            assert sorted(decode(path).images) == list(range(1, n + 1))
+
+
+@st.composite
+def valid_paths(draw) -> WeightedMotzkinPath:
+    """A valid path of length at most 40, step by step from the menu in the
+    ``motzkin`` module doc: any step whose end height leaves room to come back down."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    records = []
+    running = 0
+    for left in range(n - 1, -1, -1):  # steps still to come after this one
+        moves = [("U", running + 1, running + 1)] if running < left else []
+        if running:
+            moves += [("D", running, running - 1)]
+            if running <= left:
+                moves += [("H1", running, running), ("H2", running, running)]
+        if running <= left:
+            moves += [("H3", running, running)]
+        kind, height, running = draw(st.sampled_from(moves))
+        choice = 0 if kind == "H3" else draw(st.integers(0, height - 1))
+        records.append({"kind": kind, "height": height, "choice": choice})
+    return WeightedMotzkinPath.from_records(records)
+
+
+@settings(deadline=None)
+@given(valid_paths())
+def test_valid_paths_up_to_length_40_decode_to_permutations(path):
+    assert sorted(decode(path).images) == list(range(1, len(path) + 1))
+    assert encode(decode(path)) == path
 
 
 def test_decode_rejects_invalid_paths():

@@ -272,6 +272,37 @@ def test_decode_refuses_records_whose_fields_are_not_ints(capsys, records, bad):
     assert (code, out, err) == (2, "", f"error: step {bad}: bad record {record!r}\n")
 
 
+LONG = "9" * 5000  # past the interpreter's default limit of 4300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "argv, operand, message",
+    [
+        (["decode"], f"U({LONG},0) D(1,0)", "step 1: height of 5000 digits is out of range"),
+        (["decode"], f"U(1,0) D(1,{LONG})", "step 2: choice of 5000 digits is out of range"),
+        (
+            ["decode"],
+            f'[{{"kind":"U","height":1,"choice":0}},{{"kind":"D","height":-{LONG},"choice":0}}]',
+            "step 2: bad record {'kind': 'D', 'height': <number of 5000 digits>, 'choice': 0}",
+        ),
+        (["stats"], f"2 1 {LONG}", "position 3: value of 5000 digits out of range 1..3"),
+        (
+            ["involution", "--perm"],
+            f"-{LONG} 1",
+            "position 1: value of 5000 digits out of range 1..2",
+        ),
+    ],
+    ids=["height", "choice", "json", "stats", "involution"],
+)
+def test_numbers_past_the_digit_limit_are_positioned_errors(
+    capsys, monkeypatch, argv, operand, message
+):
+    expected = (2, "", f"error: {message}\n")
+    assert run(capsys, *argv, operand) == expected
+    monkeypatch.setattr(sys, "stdin", io.StringIO(operand))
+    assert run(capsys, *argv, "-") == expected
+
+
 @pytest.mark.parametrize(
     "text", ["[" * 100_000, "[" * 5_000 + "]" * 5_000], ids=["unclosed", "closed"]
 )

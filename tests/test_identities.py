@@ -27,8 +27,9 @@ def test_signed_gf_examples():
 
 
 def test_signed_gf_rejects_zero():
-    with pytest.raises(ValueError):
-        signed_gf_permutations(0)
+    for signed_gf in (signed_gf_permutations, derangement_signed_gf):
+        with pytest.raises(ValueError, match="^defined for n >= 1, got 0$"):
+            signed_gf(0)
     with pytest.raises(SizeLimitError):
         signed_gf_permutations(13)
 
@@ -91,8 +92,8 @@ def test_series_cells_are_the_brute_force_t_layers():
 
 def test_table_report_matches_everywhere():
     cells = derangement_table_report()
-    assert all(cell.matches for cell in cells)
-    assert {cell.n for cell in cells} == set(range(2, 10))
+    assert all(expected == computed for _, _, expected, computed in cells)
+    assert {n for n, *_ in cells} == set(range(2, 10))
 
 
 def test_table_staircase_shape():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from permotzkin import bijection, identities, involution, jfraction, motzkin, permutations, verify
-from permotzkin.algebra import Q
+from permotzkin.algebra import MultiPoly, Q, S, T
 from permotzkin.cli import main
 from permotzkin.permutations import Permutation, image_stats
 
@@ -105,6 +105,30 @@ def test_derangement_table_computes_each_row_once(monkeypatch):
     assert [record.n for record in records] == list(range(2, 10))
     assert all(record.passed for record in records)
     assert requested == list(range(2, 10))
+
+
+@pytest.mark.parametrize("extra, k", [(S * T**3, 3), (T**9, 9)])
+def test_derangement_table_check_names_the_first_cell_that_differs(monkeypatch, extra, k):
+    signed_gf = identities.derangement_signed_gf
+
+    def broken(n):
+        return signed_gf(n) + extra if n == 5 else signed_gf(n)
+
+    monkeypatch.setattr(identities, "derangement_signed_gf", broken)
+    records = verify.run_checks(["derangement-table"], 0)
+    layer = identities._rhs_coefficient(5).split_by_exponent("t").get(k, MultiPoly.zero())
+    got = layer + extra.split_by_exponent("t")[k]
+    assert [(record.n, record.computed) for record in records if not record.passed] == [
+        (5, f"t^{k}: expected {layer}, got {got}")
+    ]
+
+
+def test_depth_min_cost_check_names_the_permutation_whose_cost_differs(monkeypatch):
+    depth = verify.depth_via_factorization
+    monkeypatch.setattr(
+        verify, "depth_via_factorization", lambda perm: depth(perm) + (perm.images == (2, 1, 3))
+    )
+    assert failed_records() == [("depth-min-cost", 3, "mismatch at '2 1 3'")]
 
 
 def test_verify_output_is_the_same_under_python_O():
