@@ -8,7 +8,7 @@ be below ``EXPONENT_LIMIT``; the top bit of each field is a guard that stays
 clear in every stored key, so the sum of two keys never carries into the
 next field, and a product whose exponent reaches the limit sets a guard bit
 and raises ``ValueError`` instead.  The public API speaks in exponent tuples
-throughout; only ``packed_key`` and ``from_packed`` expose the packing.
+throughout; no public name exposes the packing.
 
 The zero polynomial stores no terms and every stored coefficient is nonzero,
 so each value has exactly one representation and ``==`` is exact.  Values
@@ -28,8 +28,7 @@ MultiPoly('0')
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from functools import reduce
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
@@ -90,14 +89,6 @@ def _wrap(terms: dict[int, int]) -> "MultiPoly":
     return poly
 
 
-def _checked(terms: dict[int, int]) -> "MultiPoly":
-    """A polynomial owning ``terms``, which has no zero coefficients, once
-    every key has been checked."""
-    if terms and (min(terms) < 0 or max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
-        raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
-    return _wrap(terms)
-
-
 class MultiPoly:
     """An immutable polynomial in q, p, s, t with integer coefficients."""
 
@@ -135,24 +126,6 @@ class MultiPoly:
     @classmethod
     def monomial(cls, exponents: Monomial, coeff: int = 1) -> "MultiPoly":
         return cls({tuple(exponents): coeff})
-
-    @staticmethod
-    def packed_key(exponents: Monomial) -> int:
-        """The packed key of an exponent tuple.
-
-        Keys add as their exponents do, so a tally can shift a whole term
-        map by one monomial with one integer addition per term:
-
-        >>> key = MultiPoly.packed_key((1, 0, 2, 0)) + MultiPoly.packed_key((0, 1, 0, 3))
-        >>> MultiPoly.from_packed({key: 5})
-        MultiPoly('5*q*p*s^2*t^3')
-        """
-        return _pack(exponents)
-
-    @classmethod
-    def from_packed(cls, terms: Mapping[int, int]) -> "MultiPoly":
-        """The polynomial with the given packed-key -> coefficient map."""
-        return _checked({key: coeff for key, coeff in terms.items() if coeff})
 
     # -- inspection ----------------------------------------------------
 
@@ -343,14 +316,14 @@ class MultiPoly:
                 count * size, "little"
             )
             if size == 8:
-                slots = array("Q", raw)
-                if sys.byteorder == "big":
-                    slots.byteswap()
+                slots = map(itemgetter(0), struct.iter_unpack("<Q", raw))
             else:
                 slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
             keys = range(zeros << _SHIFT_Q | low, (zeros + count) << _SHIFT_Q, 1 << _SHIFT_Q)
             terms.update(filter(itemgetter(1), zip(keys, map(half.__rsub__, slots))))
-        return _checked(terms)
+        if terms and (max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
+            raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
+        return _wrap(terms)
 
     # -- comparison and rendering ---------------------------------------
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, every size bound, and the one size guard."""
+"""Exception types, every size bound, the one size guard, and how diagnostics echo input."""
 
 from typing import NamedTuple
 
@@ -25,8 +25,8 @@ class Limit(NamedTuple):
 
 #: Every bound that refuses or caps an input, with the measured cost behind
 #: it (CPython 3.11.7, 2 vCPUs, in-process after import unless marked CLI).
-#: Costs marked "slow guest" were taken on a day the guest ran about 4x slow:
-#: brute_force_gf(12) took 2.0-2.3 s there, against the 0.59 s below.
+#: Costs marked "slow guest" were taken on days the guest ran 3-4x slower than
+#: on the unmarked ones.
 LIMITS: dict[str, Limit] = {
     # iter_group, iter_derangements (S_n filtered): S_10 3.3 s, D_10 3.1 s, ~n times more per n
     "enumeration": Limit(12, "enumeration is"),
@@ -38,12 +38,12 @@ LIMITS: dict[str, Limit] = {
     "expansion": Limit(30, "expansion is", "order"),
     # expand of preset_refined, CLI, JSON: order 20/22/24 take 2.2/8.0/~30 s, 206/430/~900 MB
     "refined-expansion": Limit(22, "expansion is", "order"),
-    # brute_force_gf: n = 12 takes 0.59 s and 90 MB, n = 13 2.3 s and 239 MB
+    # brute_force_gf: n = 12 takes 1.4-1.9 s and 76 MB, n = 13 7.0 s and 201 MB (slow guest)
     "brute-force": Limit(12, "brute force is"),
     # sign_imbalance_depth and _exc: one brute_force_gf(n) and a substitution
     "sign-imbalance": Limit(12, "sign imbalance is"),
-    # _pairing(n) with the _stats_by_rank(n) it reads, 2 x 161 KB at n = 8 and
-    # 2 x 1.4 MB at 9: 0.04 s at 8, 0.35 s at 9, ~10x at 10 (slow guest)
+    # _pairing(n) with the permutations._stats_by_rank(n) it reads, 2 x 161 KB at
+    # n = 8 and 2 x 1.4 MB at 9: 0.04 s at 8, 0.35-0.38 s at 9, ~10x at 10 (slow guest)
     "involution": Limit(9, "involution tables are"),
     # euler_numbers, which words its refusal in entries: E_0 .. E_50 take 0.2 ms
     "euler": Limit(50, "Euler table is", "limit"),
@@ -62,6 +62,24 @@ LIMITS: dict[str, Limit] = {
 }
 
 
+#: Diagnostics echo an input token, number or record up to this many characters long.
+ECHO_LIMIT = 100
+
+
+def _echo(value: object, noun: str = "") -> str:
+    """``repr(value)``, or past ``ECHO_LIMIT`` characters ``noun`` and its length.
+
+    >>> _echo("x"), _echo(-(10**200)), _echo("x" * 300, "a token")
+    ("'x'", 'of 201 digits', 'a token of 300 characters')
+    """
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    if isinstance(value, int):
+        return f"{noun} of {len(text.lstrip('-'))} digits".lstrip()
+    return f"{noun} of {len(value if isinstance(value, str) else text)} characters".lstrip()
+
+
 def check_size(value: int, limit: str, bound: int | None = None) -> None:
     """Refuse a negative ``value`` and one above ``bound``, by default that of ``LIMITS[limit]``.
 
@@ -74,6 +92,6 @@ def check_size(value: int, limit: str, bound: int | None = None) -> None:
     if bound is None:
         bound = entry_bound
     if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+        raise ValueError(f"{name} must be non-negative, got {_echo(value, 'a number')}")
     if value > bound:
         raise SizeLimitError(f"{what} limited to {name} <= {bound}")

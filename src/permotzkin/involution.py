@@ -30,26 +30,25 @@ The table holds no permutation.  A permutation is named by its
 lexicographic rank, the position at which ``itertools.permutations`` yields
 it (its Lehmer code read in the factorial base), and ``_pairing(n)`` is a
 flat ``array`` of n! partner ranks with ``partner[r] == r`` on fixed points.
-It reads ``_stats_by_rank(n)``, the packed statistics of S_n in that order,
-built by a recurrence over the values still to place rather than by
-walking S_n; ``verify``'s S_n walks read the same table.  Ranks arrive
-ascending, so every depth layer is already sorted.
+It reads ``permutations._stats_by_rank(n)``, the packed statistics of S_n
+in that order, built by the recurrence that also tallies ``brute_force_gf``;
+``verify``'s S_n walks read the same table.  Ranks arrive ascending, so
+every depth layer is already sorted.
 ``parity_reversing_involution`` ranks its argument, reads the partner and
 unranks it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from collections import defaultdict
 from functools import lru_cache, partial
-from typing import Iterable
 
+from . import permutations
 from .errors import LIMITS, SizeLimitError, check_size
 from .jfraction import brute_force_gf
-from .permutations import Permutation
+from .permutations import _TRIPLE, _UNIT, Permutation
 
 
 def euler_numbers(limit: int) -> tuple[int, ...]:
@@ -114,56 +113,10 @@ def _unrank(rank: int, n: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _pack(stats: Iterable[int]) -> int:
-    """(inv, fix, exc, depth) as ``_stats_by_rank`` holds them, one byte per
-    field from the low end; every field must be below 256.
-
-    >>> hex(_pack((1, 0, 1, 1)))
-    '0x1010001'
-    """
-    return int.from_bytes(bytes(stats), "little")
-
-
-#: The bits of a packed (inv, fix, exc, depth) that hold inv, exc and depth.
-_TRIPLE = _pack((255, 0, 255, 255))
-#: A rise of 1 in each of inv, exc and depth.  No byte borrows when it is
-#: taken off a permutation of positive depth, whose inv and exc are positive too.
-_UNIT = _pack((1, 0, 1, 1))
-
-
-@lru_cache(maxsize=None)
-def _stats_by_rank(n: int) -> array:
-    """The packed statistics of S_n by lexicographic rank.
-
-    The block of a set R of values still to place, at the last |R|
-    positions, is the blocks of R - {v} for v in R ascending, each entry
-    raised by what v adds at position n - |R| + 1: one inversion per
-    smaller value of R, and its fix, exc and depth.  Only two set sizes
-    are held at a time.
-
-    >>> [hex(packed) for packed in _stats_by_rank(2)]
-    ['0x200', '0x1010001']
-    """
-    check_size(n, "involution")  # which also keeps every field below 256
-    blocks = {0: array("I", [0])}  # by the bit mask of R
-    for size in range(1, n + 1):
-        position = n - size + 1
-        held = {}
-        for values in itertools.combinations(range(1, n + 1), size):
-            mask = sum(1 << v for v in values)
-            block = array("I")
-            for below, v in enumerate(values):
-                step = _pack((below, v == position, v > position, max(v - position, 0)))
-                block.extend(map(step.__add__, blocks[mask ^ 1 << v]))
-            held[mask] = block
-        blocks = held
-    return blocks.popitem()[1]
-
-
 @lru_cache(maxsize=None)
 def _pairing(n: int) -> array:
     """Partner ranks of S_n by lexicographic rank; fixed points map to themselves."""
-    stats = _stats_by_rank(n)
+    stats = permutations._stats_by_rank(n)
     layers: defaultdict[int, array] = defaultdict(partial(array, "i"))
     for rank, packed in enumerate(stats):  # ascending, so every layer is sorted
         layers[packed & _TRIPLE].append(rank)

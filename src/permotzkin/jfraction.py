@@ -38,8 +38,8 @@ Two coefficient presets are built in:
   weight of the weighted 3-colored Motzkin paths of length n.
 
 ``brute_force_gf`` recomputes the refined series coefficient without any
-Motzkin structure, by a dynamic program over the set of values already
-placed, and serves as the independent oracle for ``expand``.  Every other
+Motzkin structure, by a dynamic program over the set of values still to
+place, and serves as the independent oracle for ``expand``.  Every other
 signed or specialised sum over S_n in the package is a substitution into it.
 """
 
@@ -52,6 +52,7 @@ from typing import Callable
 
 from .algebra import MultiPoly, P, Q, S, T, q_integer
 from .errors import LIMITS, check_size
+from .permutations import _fold_values_left
 
 #: ``expand`` packs q only while one packed (p, s, t) class spans at most
 #: this many 64-bit words: one slot per power of q up to the top q-degree,
@@ -186,41 +187,32 @@ def preset_refined() -> JFractionSpec:
 def brute_force_gf(n: int) -> MultiPoly:
     """sum over S_n of q^inv p^fix s^exc t^depth, tallied by a subset DP.
 
-    Values are placed at positions 1..n in turn; a state is the set of values
-    used so far, and it maps packed exponent keys (``MultiPoly.packed_key``)
-    to counts.  Placing v at position i adds the number of used values above
-    v to inv, [v = i] to fix, [v > i] to exc and max(v - i, 0) to depth, one
-    key addition per term.  These increments depend only on the set and on v
-    (i is one more than the set's size), so all prefixes with the same set
-    of values can share one state.  Each n is tallied once per process; the
-    result is immutable and shared by every caller.
+    ``permutations._fold_values_left`` folds maps from packed statistics, whose
+    bytes are the exponents of q, p, s, t, to counts.  Each n is tallied once
+    per process; the result is immutable and shared by every caller.
 
     >>> str(brute_force_gf(2))
     'q*s*t + p^2'
     """
     check_size(n, "brute-force")
-    return _subset_tally(n)
+    return _brute_force_gf(n)
+
+
+def _add_keys(parts: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """The sum of the tallies, each with its keys raised by its step."""
+    tally: dict[int, int] = {}
+    get = tally.get
+    for step, part in parts:
+        for key, count in part.items():
+            key += step
+            tally[key] = get(key, 0) + count
+    return tally
 
 
 @lru_cache(maxsize=None)
-def _subset_tally(n: int) -> MultiPoly:
-    states: dict[int, dict[int, int]] = {0: {0: 1}}  # used set -> packed key -> count
-    for i in range(1, n + 1):
-        nxt: dict[int, dict[int, int]] = {}
-        for used, tally in states.items():
-            for v in range(1, n + 1):
-                bit = 1 << (v - 1)
-                if used & bit:
-                    continue
-                step = MultiPoly.packed_key(
-                    ((used >> v).bit_count(), int(v == i), int(v > i), max(v - i, 0))
-                )
-                target = nxt.setdefault(used | bit, {})
-                for key, count in tally.items():
-                    key += step
-                    target[key] = target.get(key, 0) + count
-        states = nxt
-    return MultiPoly.from_packed(states[(1 << n) - 1])
+def _brute_force_gf(n: int) -> MultiPoly:
+    tally = _fold_values_left(n, {0: 1}, _add_keys)
+    return MultiPoly({tuple(key.to_bytes(4, "little")): count for key, count in tally.items()})
 
 
 def brute_force_depth_gf(n: int) -> MultiPoly:

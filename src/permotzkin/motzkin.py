@@ -45,7 +45,7 @@ import re
 from typing import Iterator
 
 from .algebra import Monomial, MultiPoly
-from .errors import InvalidPathError, ParseError, check_size
+from .errors import InvalidPathError, ParseError, _echo, check_size
 
 
 class StepKind(enum.Enum):
@@ -105,7 +105,7 @@ class WeightedMotzkinPath:
         for index, token in enumerate(text.split(), start=1):
             match = _TOKEN.fullmatch(token)
             if match is None:
-                raise ParseError(f"step {index}: cannot parse {token!r}")
+                raise ParseError(f"step {index}: cannot parse {_echo(token, 'a token')}")
             kind, height, choice = match.groups()
             kinds.append(_NAMES.index(kind))
             try:
@@ -132,7 +132,7 @@ class WeightedMotzkinPath:
                 if type(height) is not int or type(choice) is not int:  # bools too
                     raise TypeError
             except (KeyError, ValueError, TypeError):
-                raise ParseError(f"step {index}: bad record {record!r}") from None
+                raise ParseError(f"step {index}: bad record {_echo(record)}") from None
             kinds.append(_CODES[kind])
             heights.append(height)
             choices.append(choice)
@@ -191,7 +191,7 @@ def path_exponents(path: WeightedMotzkinPath) -> Monomial:
     for index, kind, h, d in zip(itertools.count(1), kinds, heights, choices):
         if kind == KIND_U:
             if h != running + 1:
-                raise _bad(index, f"U height {h} does not match running height {running}")
+                raise _bad(index, f"U height {_echo(h)} does not match running height {running}")
             running += 1
             eq += d
             es += 1
@@ -200,14 +200,15 @@ def path_exponents(path: WeightedMotzkinPath) -> Monomial:
             if running <= 0:
                 raise _bad(index, "D step below the x-axis")
             if h != running:
-                raise _bad(index, f"D height {h} does not match running height {running}")
+                raise _bad(index, f"D height {_echo(h)} does not match running height {running}")
             running -= 1
             eq += 2 * h - 1 + d
         elif h != running:
-            raise _bad(index, f"{_NAMES[kind]} height {h} does not match running height {running}")
+            problem = f"{_NAMES[kind]} height {_echo(h)} does not match running height {running}"
+            raise _bad(index, problem)
         elif kind == KIND_H3:
             if d != 0:
-                raise _bad(index, f"H3 choice must be 0, got {d}")
+                raise _bad(index, f"H3 choice must be 0, got {_echo(d, 'a number')}")
             eq += 2 * h
             et += h
             continue
@@ -218,7 +219,7 @@ def path_exponents(path: WeightedMotzkinPath) -> Monomial:
             et += h
             es += kind == KIND_H1  # H1 carries s, H2 does not
         if not 0 <= d <= h - 1:  # U, D, H1 or H2, with h >= 1 by now
-            raise _bad(index, f"{_NAMES[kind]} choice {d} out of range 0..{h - 1}")
+            raise _bad(index, f"{_NAMES[kind]} choice {_echo(d)} out of range 0..{h - 1}")
     if running != 0:
         raise InvalidPathError(f"path ends at height {running}, not 0")
     return (eq, kinds.count(KIND_H3), es, et)

@@ -20,19 +20,22 @@ Text format: space-separated images, e.g. ``"3 2 1"``, each ASCII digits
 with an optional sign (``[+-]?[0-9]+``; ``1_0`` and other digits are not
 integers); the empty string is the unique permutation of n = 0.
 ``iter_group`` streams S_n and ``iter_derangements`` filters it.
+``_stats_by_rank`` and ``jfraction.brute_force_gf`` hold the statistics of
+all of S_n, both folded by ``_fold_values_left`` without walking S_n.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ne
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import ParseError, check_size
+from .errors import ParseError, _echo, check_size
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,12 @@ class Permutation:
             except ValueError:
                 digits = token[token[0] in "+-" :]
                 if token.isascii() and digits.isdigit():  # past the interpreter's limit on digits
-                    raise ParseError(
-                        f"position {index}: value of {len(digits)} digits out of range 1..{n}"
-                    ) from None
-                raise ParseError(f"position {index}: {token!r} is not an integer") from None
+                    problem = f"value of {len(digits)} digits out of range 1..{n}"
+                else:
+                    problem = f"{_echo(token, 'a token')} is not an integer"
+                raise ParseError(f"position {index}: {problem}") from None
             if not 1 <= value <= n:
-                raise ParseError(f"position {index}: value {value} out of range 1..{n}")
+                raise ParseError(f"position {index}: value {_echo(value)} out of range 1..{n}")
             if value in seen:
                 raise ParseError(f"position {index}: value {value} repeated")
             seen.add(value)
@@ -118,6 +121,63 @@ def image_stats(images: tuple[int, ...]) -> tuple[int, int, int, int]:
         elif v == pos:
             fix += 1
     return inv, fix, exc, dep
+
+
+def _pack(stats: Iterable[int]) -> int:
+    """(inv, fix, exc, depth) packed one byte per field from the low end;
+    every field must be below 256.
+
+    >>> hex(_pack((1, 0, 1, 1)))
+    '0x1010001'
+    """
+    return int.from_bytes(bytes(stats), "little")
+
+
+#: The bits of a packed (inv, fix, exc, depth) that hold inv, exc and depth.
+_TRIPLE = _pack((255, 0, 255, 255))
+#: A rise of 1 in each of inv, exc and depth.  No byte borrows when it is
+#: taken off a permutation of positive depth, whose inv and exc are positive too.
+_UNIT = _pack((1, 0, 1, 1))
+
+
+def _fold_values_left(n: int, empty, combine: Callable[[list[tuple[int, object]]], object]):
+    """The block of S_n, folded over the sets R of values still to place.
+
+    The block of R is ``combine`` of one (step, block of R - {v}) pair per v
+    in R ascending; step packs what v adds at position n - |R| + 1: one
+    inversion per smaller value of R, and its fix, exc and depth.  inv, the
+    largest field, reaches n(n - 1)/2, which fits its byte, <= 255, for n <= 23.
+    """
+    blocks = {0: empty}  # by the bit mask of R
+    for size in range(1, n + 1):
+        position = n - size + 1
+        held = {}
+        for values in itertools.combinations(range(1, n + 1), size):
+            mask = sum(1 << v for v in values)
+            parts = []
+            for smaller, v in enumerate(values):  # the values of R below v
+                step = _pack((smaller, v == position, v > position, max(v - position, 0)))
+                parts.append((step, blocks[mask ^ 1 << v]))
+            held[mask] = combine(parts)
+        blocks = held
+    return blocks.popitem()[1]
+
+
+def _concatenate(parts: list[tuple[int, array]]) -> array:
+    """Each block raised by its step, one after another."""
+    raised = (map(step.__add__, block) for step, block in parts)
+    return array("I", itertools.chain.from_iterable(raised))
+
+
+@lru_cache(maxsize=None)
+def _stats_by_rank(n: int) -> array:
+    """The packed statistics of S_n by lexicographic rank.
+
+    >>> [hex(packed) for packed in _stats_by_rank(2)]
+    ['0x200', '0x1010001']
+    """
+    check_size(n, "involution")
+    return _fold_values_left(n, array("I", [0]), _concatenate)
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,9 @@ including all the work behind it, and builds its ``ReportRecord``;
 ``CHECKS`` holds one runner per name.
 
 The S_n walks do each permutation's work once, and share one table:
-``involution._stats_by_rank(n)``, the packed (inv, fix, exc, depth) of every
-permutation by lexicographic rank, the order of ``itertools.permutations``,
-built once per n by a recurrence that never looks at a permutation.
+``permutations._stats_by_rank(n)``, the packed (inv, fix, exc, depth) of
+every permutation by lexicographic rank (``itertools.permutations`` order),
+built once per n by the recurrence behind ``brute_force_gf``.
 ``bijection`` validates each image once, in ``motzkin.path_exponents``,
 which also sums its weight, compares that weight with the table's entry,
 and compares the decode kernel's images with the permutation's.  So it
@@ -35,11 +35,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import bijection, identities, involution, jfraction, motzkin
+from . import bijection, identities, involution, jfraction, motzkin, permutations
 from .algebra import MultiPoly, S, T
 from .errors import LIMITS, check_size
 from .motzkin import StepKind
-from .permutations import Permutation, depth_via_factorization, image_stats, iter_group
+from .permutations import (
+    _TRIPLE, _UNIT, Permutation, _pack, depth_via_factorization, image_stats, iter_group
+)
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ class ReportRecord:
 
 def _bijection(n: int) -> tuple[str, str]:
     expected = f"bijective onto the {n}! weighted paths, weights preserved"
-    for perm, stats in zip(iter_group(n), involution._stats_by_rank(n)):
+    for perm, stats in zip(iter_group(n), permutations._stats_by_rank(n)):
         path = bijection.encode(perm)
         # a valid path's exponents are some permutation's statistics, each below 256
-        if involution._pack(motzkin.path_exponents(path)) != stats:
+        if _pack(motzkin.path_exponents(path)) != stats:
             return expected, f"weight mismatch at {perm.to_text()!r}"
         if bijection._decode_images(path) != perm.images:
             return expected, f"round trip failed at {perm.to_text()!r}"
@@ -109,14 +111,14 @@ def _involution(n: int) -> tuple[str, str]:
     summary = "involutive, equal deltas in {{1,0,-1}}, {} fixed points".format
     expected = summary(involution.euler_numbers(n)[n] if n % 2 else 0)
     partner = involution._pairing(n)
-    stats = involution._stats_by_rank(n)
-    triple, deltas = involution._TRIPLE, (-involution._UNIT, 0, involution._UNIT)
+    stats = permutations._stats_by_rank(n)
+    deltas = (-_UNIT, 0, _UNIT)
     fixed = 0
     for rank, other in enumerate(partner):
         if 0 <= other < len(stats) and partner[other] == rank:
             # fields stay below 128 at n <= 9, so this packed difference is 0 or
             # +-_UNIT only when inv, exc and depth all move by the same delta in {-1, 0, 1}
-            delta = (stats[other] & triple) - (stats[rank] & triple)
+            delta = (stats[other] & _TRIPLE) - (stats[rank] & _TRIPLE)
             if delta not in deltas:
                 problem = "delta law broken"
             elif (delta == 0) != (other == rank):

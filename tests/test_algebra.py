@@ -245,8 +245,6 @@ def test_exponent_bound_is_enforced_in_the_constructor():
         assert MultiPoly.one().coefficient(mono) == 0
     with pytest.raises(ValueError):
         MultiPoly.monomial((-1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        MultiPoly.from_packed({-1: 1})
 
 
 def test_exponent_overflow_in_a_product_raises_instead_of_carrying():

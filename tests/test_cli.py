@@ -303,6 +303,42 @@ def test_numbers_past_the_digit_limit_are_positioned_errors(
     assert run(capsys, *argv, "-") == expected
 
 
+NINES, RECORD = "9" * 4000, {"kind": "x" * 3000, "height": 1, "choice": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats", f"2 1 {NINES}"], "position 3: value of 4000 digits out of range 1..3"),
+        (
+            ["involution", "--perm", f"2 1 {NINES}"],
+            "position 3: value of 4000 digits out of range 1..3",
+        ),
+        (
+            ["decode", f"U({NINES},0) D(1,0)"],
+            "step 1: U height of 4000 digits does not match running height 0",
+        ),
+        (["decode", f"U(1,{NINES}) D(1,0)"], "step 1: U choice of 4000 digits out of range 0..0"),
+        (["decode", f"H3(0,{NINES})"], "step 1: H3 choice must be 0, got a number of 4000 digits"),
+        (["stats", "2 1 " + "x" * 3000], "position 3: a token of 3000 characters is not an integer"),
+        (["decode", "H3(0,0) " + "Q" * 3000], "step 2: cannot parse a token of 3000 characters"),
+        (
+            ["decode", json.dumps([RECORD])],
+            f"step 1: bad record of {len(repr(RECORD))} characters",
+        ),
+        (
+            ["expand", "--preset", "depth", f"--order=-{NINES}"],
+            "order must be non-negative, got a number of 4000 digits",
+        ),
+    ],
+    ids=["stats", "involution", "height", "choice", "h3-choice", "token", "step", "json", "order"],
+)
+def test_long_inputs_are_echoed_by_their_length(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "text", ["[" * 100_000, "[" * 5_000 + "]" * 5_000], ids=["unclosed", "closed"]
 )

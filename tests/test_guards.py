@@ -157,3 +157,11 @@ def test_cli_guard_stderr(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {CLI_GUARDS[argv]}\n"
+
+
+@pytest.mark.parametrize("key", ["brute-force", "sign-imbalance", "involution"])
+def test_statistics_kernel_bounds_keep_inv_within_its_byte(key):
+    # permutations._fold_values_left packs inv, up to n(n - 1)/2, into one
+    # byte; past n = 23 it would carry into the fix byte.
+    n = LIMITS[key].bound
+    assert n * (n - 1) // 2 <= 255

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permotzkin import involution
+from permotzkin import involution, permutations
 from permotzkin.errors import SizeLimitError
 from permotzkin.involution import (
     euler_numbers,
@@ -163,7 +163,7 @@ def packed_stats(images):
 
 @pytest.mark.parametrize("n", range(9))
 def test_statistics_table_matches_image_stats(n):
-    table = involution._stats_by_rank(n)
+    table = permutations._stats_by_rank(n)
     group = itertools.permutations(range(1, n + 1))
     assert table == array("I", map(packed_stats, group))
     for r, packed in enumerate(table):
@@ -171,9 +171,9 @@ def test_statistics_table_matches_image_stats(n):
 
 
 def test_statistics_table_of_s0_is_one_zero_entry():
-    assert involution._stats_by_rank(0) == array("I", [0])
+    assert permutations._stats_by_rank(0) == array("I", [0])
 
 
 def test_statistics_table_guard():
     with pytest.raises(SizeLimitError):
-        involution._stats_by_rank(10)
+        permutations._stats_by_rank(10)

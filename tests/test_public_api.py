@@ -9,12 +9,13 @@ from permotzkin import algebra, identities, motzkin, permutations
 # perm.images[i - 1], poly.is_zero() is `not poly`, iterating a poly is
 # sorted(poly.terms().items(), reverse=True), binomial is math.comb, a
 # WeightedStep and path.steps are the path's records (to_records) or flat
-# tuples, str(kind) is kind.value, and a TableCell is a (k, expected,
-# computed) tuple.
+# tuples, str(kind) is kind.value, a TableCell is a (k, expected,
+# computed) tuple, and packed_key and from_packed, which exposed the key
+# layout, are the tuple constructor MultiPoly({exponents: coeff}).
 REMOVED = {
     permutations: ("four_stats", "inv_count", "fix_count", "exc_count", "depth"),
     permutations.Permutation: ("n",),
-    algebra.MultiPoly: ("is_zero", "__iter__"),
+    algebra.MultiPoly: ("is_zero", "__iter__", "packed_key", "from_packed"),
     algebra: ("binomial",),
     motzkin: ("WeightedStep",),
     motzkin.WeightedMotzkinPath: ("steps",),

@@ -316,9 +316,9 @@ def test_involution_check_does_each_permutations_work_once(monkeypatch, n):
     def refuse(images):
         raise AssertionError("an S_n walk called image_stats")
 
-    for name in builds:
-        fresh = counted(name, getattr(involution, name).__wrapped__)
-        monkeypatch.setattr(involution, name, fresh)
+    for module, name in ((permutations, "_stats_by_rank"), (involution, "_pairing")):
+        fresh = counted(name, getattr(module, name).__wrapped__)
+        monkeypatch.setattr(module, name, fresh)
     monkeypatch.setattr(verify, "image_stats", refuse)
     monkeypatch.setattr(permutations, "image_stats", refuse)
     for check in (verify._bijection, verify._involution):
@@ -331,10 +331,10 @@ def test_bijection_check_catches_a_corrupt_statistics_table(monkeypatch):
     # Only the bijection check reads the fixed points from the shared table,
     # so a wrong fix byte fails its record and no other: the table is checked
     # against the paths' weights, never trusted as it stands.
-    stats = involution._stats_by_rank
+    stats = permutations._stats_by_rank
     table = stats(5)[:]
     table[rank((2, 1, 3, 4, 5))] ^= 1 << 8  # 3 fixed points read as 2
-    monkeypatch.setattr(involution, "_stats_by_rank", lambda m: table if m == 5 else stats(m))
+    monkeypatch.setattr(permutations, "_stats_by_rank", lambda m: table if m == 5 else stats(m))
     assert failed_records() == [("bijection", 5, "weight mismatch at '2 1 3 4 5'")]
 
 
