@@ -33,6 +33,8 @@ from functools import reduce
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
+from .errors import _echo
+
 #: Variable order used everywhere: exponent tuples are (eq, ep, es, et).
 VARIABLES = ("q", "p", "s", "t")
 
@@ -55,7 +57,7 @@ _LOW_FIELDS = (1 << _SHIFT_Q) - 1  # the p, s and t fields of a key
 
 def _check_shape(mono: Monomial) -> None:
     if len(mono) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in mono):
-        raise ValueError(f"bad exponent tuple {mono!r}")
+        raise ValueError(f"bad exponent tuple {_echo(mono)}")
 
 
 def _shift(name: str) -> int:
@@ -68,7 +70,7 @@ def _shift(name: str) -> int:
 def _pack(mono: Monomial) -> int:
     _check_shape(mono)
     if max(mono) >= EXPONENT_LIMIT:
-        raise ValueError(f"exponent tuple {mono!r} has an exponent >= {EXPONENT_LIMIT}")
+        raise ValueError(f"exponent tuple {_echo(mono)} has an exponent >= {EXPONENT_LIMIT}")
     eq, ep, es, et = mono
     return eq << _SHIFT_Q | ep << _SHIFT_P | es << _SHIFT_S | et << _SHIFT_T
 
@@ -308,9 +310,6 @@ class MultiPoly:
                 raise ValueError(f"{_monomial_text(low)} has a power of q")
             zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
             packed >>= zeros * width
-            if -half <= packed < half:  # a single power of q
-                terms[zeros << _SHIFT_Q | low] = packed
-                continue
             count = packed.bit_length() // width + 1
             raw = (packed + int.from_bytes(half_slot * count, "little")).to_bytes(
                 count * size, "little"

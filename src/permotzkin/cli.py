@@ -17,7 +17,7 @@ import sys
 from . import verify as verify_mod
 from .bijection import decode as decode_path
 from .bijection import encode as encode_perm
-from .errors import ParseError
+from .errors import ParseError, _echo
 from .involution import parity_reversing_involution, sign_imbalance_depth, sign_imbalance_exc
 from .jfraction import expand, preset_depth, preset_refined
 from .motzkin import WeightedMotzkinPath
@@ -143,8 +143,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(record.passed for record in records) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose int and choice refusals, for every option and
+    the subcommand, echo the operand through ``errors._echo``."""
+
+    def _get_values(self, action, arg_strings):
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            message = exc.message
+            for text in arg_strings:
+                message = message.replace(repr(text), _echo(text, "a token"))
+            raise argparse.ArgumentError(action, message) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permotzkin",
         description="Exact permutation statistics, weighted Motzkin paths, "
         "continued fractions, and identity verifiers.",

@@ -49,7 +49,7 @@ LIMITS: dict[str, Limit] = {
     "euler": Limit(50, "Euler table is", "limit"),
     # derangement_series_rhs: order 30 takes 0.035 s
     "series-assembly": Limit(30, "series assembly is", "order"),
-    # verify --max-n 9, CLI: 0.43 s and 22 MB
+    # verify --max-n 9, CLI: 0.69-0.87 s and 18 MB (brute_force_gf(12) took 1.2 s that day)
     "verify": Limit(9, "verify is", "max_n"),
     # the last n of verify's bijection/cardinality/involution: 6.5/0.55/0.7 s more at
     # n = 9 (slow guest, where verify --max-n 9 takes 1.0 s in-process);

@@ -21,12 +21,12 @@ The DP packs q (Kronecker substitution): it runs on gamma_h and lambda_h
 with q = 2^w substituted, so each state holds one integer per (p, s, t)
 class, and a product costs one C-level integer multiplication per pair of
 classes instead of one dict update per pair of terms.  Each z^n coefficient
-is unpacked with ``MultiPoly.unpack_q``.  A scalar run of the same DP bounds
-every coefficient and the q-exponents each state can hold first, which fixes
-w in whole 64-bit words.  A packed product costs in proportion to the width
-of its classes however few terms they hold, so a spec whose classes would
-span more than ``PACKED_WORDS_LIMIT`` words, or whose q-exponents leave a
-third or more of the slots empty, runs the DP on plain polynomials.
+is unpacked with ``MultiPoly.unpack_q``.  A scalar run of the same DP first
+bounds every coefficient and q-degree, which fixes w in whole 64-bit words
+and the slot count.  A packed product costs in proportion to the width of
+its classes however few terms they hold, so a spec whose classes would span
+more than ``PACKED_WORDS_LIMIT`` words, or whose q-exponents are all
+multiples of one g > 1, runs the DP on plain polynomials.
 
 Two coefficient presets are built in:
 
@@ -45,9 +45,9 @@ signed or specialised sum over S_n in the package is a substitution into it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Callable
 
 from .algebra import MultiPoly, P, Q, S, T, q_integer
@@ -63,6 +63,8 @@ from .permutations import _fold_values_left
 #: q^i s^i and lambda_h = t (gamma_h - P) at order 12, packing takes 0.29 s
 #: against 0.065 s plain at m = 11 (121 words), 3.1 s against 0.18 s at
 #: m = 22 (253 words), and 46 s against 0.73 s at m = 43 (1,010 words).
+#: Dense classes lose past the cut: q_integer(65) + P with lambda_h = st at
+#: order 9 needs 577 words and runs plain in 0.31 s, against 0.029 s packed.
 PACKED_WORDS_LIMIT = 512
 
 
@@ -123,47 +125,40 @@ def _slot_width(gamma: list[MultiPoly], lam: list[MultiPoly], order: int) -> int
     """The q-slot width in bits that packs ``expand``'s DP exactly, or
     ``None`` when packing would not pay.
 
-    A scalar run of the same pruned DP carries, for each state, a bound on
-    its L1 norm (the sum of |coeff|) and the set of q-exponents its terms can
-    have, as a bit mask.  The largest norm, with those of gamma_h and
-    lambda_h, bounds every coefficient of every partial sum, so one slot of
-    that many bits plus a sign never carries into the next.  Packing is
-    refused when a class would span more than ``PACKED_WORDS_LIMIT`` words,
-    or when a third or more of the slots below the top q-degree can never
-    hold a term, as in a spec whose q-exponents are all multiples of 2.
+    A scalar run of the same pruned DP bounds each state's L1 norm (the sum
+    of |coeff|) and top q-degree.  The largest norm, with those of gamma_h and
+    lambda_h, bounds every coefficient of every partial sum, so a slot of that
+    many bits plus a sign never carries into the next.  Packing is refused
+    when a class of (top degree + 1) slots would span more than
+    ``PACKED_WORDS_LIMIT`` words, or when one g > 1 divides every q-exponent
+    of gamma_h and lambda_h, leaving all but one slot in g empty.
     """
-    bounds = []
-    for poly in gamma + lam:
-        terms = poly.terms()
-        if any(eq >= PACKED_WORDS_LIMIT for eq, *_ in terms):
-            return None  # past the cut already, and its mask could be huge
-        exponents = reduce(or_, (1 << eq for eq, *_ in terms), 0)
-        bounds.append((sum(map(abs, terms.values())), exponents))
+    terms = [poly.terms() for poly in gamma + lam]
+    if math.gcd(*(eq for part in terms for eq, *_ in part)) > 1:
+        return None
+    bounds = [(sum(map(abs, part.values())), max(part, default=(0,))[0]) for part in terms]
     factors = bounds[: len(gamma)], bounds[len(gamma) :]
-    for state in _steps((1, 1), *factors, order, _bound_sum):
+    for state in _steps((1, 0), *factors, order, _bound_sum):
         bounds += state
-        if max(exponents for _, exponents in state).bit_length() > PACKED_WORDS_LIMIT:
-            return None
     words = max(norm for norm, _ in bounds).bit_length() // 64 + 1
-    occupied = reduce(or_, (exponents for _, exponents in bounds))
-    slots = occupied.bit_length()
-    if slots * words > PACKED_WORDS_LIMIT or 3 * occupied.bit_count() <= 2 * slots:
+    slots = max(degree for _, degree in bounds) + 1
+    if slots * words > PACKED_WORDS_LIMIT:
         return None
     return 64 * words
 
 
 def _bound_sum(pairs: list[tuple[tuple[int, int], tuple[int, int] | None]]) -> tuple[int, int]:
-    """The norm bound and the q-exponent mask of a sum of products, from
-    those of its factors."""
-    norm = exponents = 0
-    for (a_norm, a_exponents), factor in pairs:
-        b_norm, b_exponents = factor or (1, 1)
+    """The norm bound and top q-degree of a sum of products; the up step's ``None`` is (1, 0).
+
+    >>> _bound_sum([((2, 3), (5, 1)), ((1, 7), None)])
+    (11, 7)
+    """
+    norm = degree = 0
+    for (a_norm, a_degree), factor in pairs:
+        b_norm, b_degree = factor or (1, 0)
         norm += a_norm * b_norm
-        while b_exponents:  # one shifted copy of a's mask per exponent of b
-            lowest = b_exponents & -b_exponents
-            exponents |= a_exponents * lowest
-            b_exponents ^= lowest
-    return norm, exponents
+        degree = max(degree, a_degree + b_degree)
+    return norm, degree
 
 
 def preset_depth() -> JFractionSpec:

@@ -161,7 +161,8 @@ def step_weight(kind: StepKind, h: int, d: int) -> MultiPoly:
     ``level-weights`` sums over each menu."""
     if kind is StepKind.H3:
         if h < 0 or d != 0:
-            raise InvalidPathError(f"H3 needs height >= 0 and choice 0, got ({h},{d})")
+            got = f"({_echo(h, 'a number')},{_echo(d, 'a number')})"
+            raise InvalidPathError(f"H3 needs height >= 0 and choice 0, got {got}")
         return MultiPoly.monomial((2 * h, 1, 0, h))
     if h < 1:
         raise InvalidPathError(
@@ -170,7 +171,9 @@ def step_weight(kind: StepKind, h: int, d: int) -> MultiPoly:
             else f"{kind.value} is not allowed at height 0"
         )
     if not 0 <= d <= h - 1:
-        raise InvalidPathError(f"{kind.value} choice {d} out of range 0..{h - 1}")
+        raise InvalidPathError(
+            f"{kind.value} choice {_echo(d)} out of range 0..{_echo(h - 1, 'a number')}"
+        )
     if kind is StepKind.U:
         return MultiPoly.monomial((d, 0, 1, 2 * h - 1))
     if kind is StepKind.D:

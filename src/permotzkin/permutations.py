@@ -48,7 +48,7 @@ class Permutation:
         n = len(self.images)
         # the type test comes first: 1.0 and True sort and compare as 1 does
         if not {*map(type, self.images)} <= {int} or sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images!r} is not a permutation of 1..{n}")
+            raise ValueError(f"{_echo(self.images, 'a tuple')} is not a permutation of 1..{n}")
 
     def __len__(self) -> int:
         return len(self.images)

@@ -340,6 +340,52 @@ def test_long_inputs_are_echoed_by_their_length(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "--preset", "depth", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        (
+            ["expand", "--preset", "depth", "--order", "x" * 3000],
+            "argument --order: invalid int value: a token of 3000 characters",
+        ),
+        (
+            ["imbalance", "--stat", "depth", "--n", "9" * 5000],
+            "argument --n: invalid int value: a token of 5000 characters",
+        ),
+        (
+            ["verify", "--max-n", "9" * 5000],
+            "argument --max-n: invalid int value: a token of 5000 characters",
+        ),
+        (
+            ["verify", "--check", "z" * 3000],
+            "argument --check: invalid choice: a token of 3000 characters"
+            " (choose from 'bijection', ",
+        ),
+        (
+            ["expand", "--preset", "p" * 3000, "--order", "3"],
+            "argument --preset: invalid choice: a token of 3000 characters"
+            " (choose from 'depth', 'refined')",
+        ),
+        (
+            ["stats", "2 1", "--format", "f" * 3000],
+            "argument --format: invalid choice: a token of 3000 characters"
+            " (choose from 'text', 'json', 'csv')",
+        ),
+        (
+            ["c" * 3000],
+            "argument command: invalid choice: a token of 3000 characters"
+            " (choose from 'stats', ",
+        ),
+    ],
+    ids=["short", "order", "n", "max-n", "check", "preset", "format", "command"],
+)
+def test_parser_refusals_echo_long_operands_by_their_length(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err.splitlines()[-1]
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize(
     "text", ["[" * 100_000, "[" * 5_000 + "]" * 5_000], ids=["unclosed", "closed"]
 )
 def test_decode_refuses_json_nested_too_deeply(capsys, monkeypatch, text):

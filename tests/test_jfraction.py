@@ -191,6 +191,29 @@ def test_a_spec_that_packs_wider_than_the_cut_takes_the_plain_dp(monkeypatch, un
     monkeypatch.setattr(jfraction, "PACKED_WORDS_LIMIT", 577)
     assert expand(spec, 9) == plain
     assert unpacked_widths == [64] * 9
+    # the cut weighs slots (top q-degree + 1) times words per slot: 92 one-word
+    # slots at order 14, and 232 two-word slots at order 22, unexpanded here
+    for order, words, width in ((14, 92, 64), (22, 464, 128)):
+        monkeypatch.setattr(jfraction, "PACKED_WORDS_LIMIT", words)
+        assert slot_width(preset_refined(), order) == width
+        monkeypatch.setattr(jfraction, "PACKED_WORDS_LIMIT", words - 1)
+        assert slot_width(preset_refined(), order) is None
+
+
+def slot_width(spec, order):
+    """``_slot_width`` on the coefficient lists that ``expand`` builds."""
+    heights = range(order // 2 + 1)
+    lam = [MultiPoly.zero()] + [spec.lam(h) for h in heights[1:]]
+    return jfraction._slot_width([spec.gamma(h) for h in heights], lam, order)
+
+
+def test_a_sparse_spec_with_coprime_q_exponents_packs(unpacked_widths):
+    # q^40 and q reach only a few of the slots up to q^320, but no g > 1
+    # divides every q-exponent, so the spec packs
+    spec = JFractionSpec(gamma=lambda h: 1 + Q**40 * S, lam=lambda h: T + Q * S)
+    series = expand(spec, 8)
+    assert unpacked_widths == [64] * 8
+    assert list(series) == naive_expand(spec, 8)
 
 
 def test_exponent_overflow_raises_on_both_sides_of_the_cut(unpacked_widths):

@@ -87,6 +87,21 @@ def test_step_weight_rejects_bad_steps():
         step_weight(StepKind.H3, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "h, d, message",
+    [
+        (1, 10**3000, "U choice of 3001 digits out of range 0..0"),
+        (10**3000, 0, "exponent tuple of 3012 characters has an exponent >= 8388608"),
+        (10**3000, -1, "U choice -1 out of range 0..a number of 3000 digits"),
+    ],
+    ids=["choice", "height", "range"],
+)
+def test_step_weight_echoes_long_numbers_by_their_length(h, d, message):
+    with pytest.raises(ValueError) as info:
+        step_weight(StepKind.U, h, d)
+    assert str(info.value) == message and len(message) < 200
+
+
 def test_path_weight_examples():
     assert path_weight(path_of("U(1,0) H3(1,0) D(1,0)")) == P * S * T**2 * Q**3
     assert path_weight(path_of("")) == MultiPoly.one()

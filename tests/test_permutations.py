@@ -231,6 +231,16 @@ def test_constructor_rejects_non_bijection():
         Permutation((1, 1))
 
 
+def test_constructor_echoes_a_long_tuple_by_its_length():
+    images = tuple(range(2, 10**4))
+    with pytest.raises(ValueError) as info:
+        Permutation(images)
+    message = f"a tuple of {len(repr(images))} characters is not a permutation of 1..9998"
+    assert str(info.value) == message and len(message) < 200
+    with pytest.raises(ValueError, match=r"^\(2,\) is not a permutation of 1\.\.1$"):
+        Permutation((2,))
+
+
 # 1.0 and True compare equal to 1, so only a type test refuses the last four
 @pytest.mark.parametrize(
     "images", [(2, 3), (0,), (1, 2, 2), (1.0, 2.0), (True,), (2, True), (1, 2.0, 3)]
