@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import struct
 from functools import reduce
-from operator import itemgetter, or_
+from itertools import compress
+from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import _echo
@@ -298,12 +299,16 @@ class MultiPoly:
         >>> poly = 3 * Q**2 * S - Q * S + 5
         >>> poly.substitute({"q": 1 << 64}).unpack_q(64) == poly
         True
+        >>> poly = -(2**100) * Q**3 * P + 7 * Q * P - Q**2 + 1
+        >>> poly.substitute({"q": 1 << 128}).unpack_q(128) == poly
+        True
         """
         if width <= 0 or width % 64:
             raise ValueError(f"slot width must be a positive multiple of 64, got {width!r}")
         size = width // 8  # bytes per slot
-        half = 1 << (width - 1)  # biases each slot from [-half, half) to [0, 2 * half)
-        half_slot = half.to_bytes(size, "little")
+        # Adding half to each slot carries every borrow out of the packed
+        # integer; XOR with half then leaves each slot in two's complement.
+        half_slot = (1 << (width - 1)).to_bytes(size, "little")
         terms: dict[int, int] = {}
         for low, packed in self._terms.items():
             if low >> _SHIFT_Q:
@@ -311,15 +316,17 @@ class MultiPoly:
             zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
             packed >>= zeros * width
             count = packed.bit_length() // width + 1
-            raw = (packed + int.from_bytes(half_slot * count, "little")).to_bytes(
-                count * size, "little"
-            )
+            bias = int.from_bytes(half_slot * count, "little")
+            raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
             if size == 8:
-                slots = map(itemgetter(0), struct.iter_unpack("<Q", raw))
+                slots = struct.unpack(f"<{count}q", raw)
             else:
-                slots = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+                slots = [
+                    int.from_bytes(raw[i : i + size], "little", signed=True)
+                    for i in range(0, len(raw), size)
+                ]
             keys = range(zeros << _SHIFT_Q | low, (zeros + count) << _SHIFT_Q, 1 << _SHIFT_Q)
-            terms.update(filter(itemgetter(1), zip(keys, map(half.__rsub__, slots))))
+            terms.update(compress(zip(keys, slots), slots))
         if terms and (max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
             raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
         return _wrap(terms)

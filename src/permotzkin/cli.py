@@ -17,9 +17,9 @@ import sys
 from . import verify as verify_mod
 from .bijection import decode as decode_path
 from .bijection import encode as encode_perm
-from .errors import ParseError, _echo
+from .errors import ECHO_LIMIT, ParseError, _echo
 from .involution import parity_reversing_involution, sign_imbalance_depth, sign_imbalance_exc
-from .jfraction import expand, preset_depth, preset_refined
+from .jfraction import _series, preset_depth, preset_refined
 from .motzkin import WeightedMotzkinPath
 from .permutations import Permutation, image_stats
 
@@ -93,8 +93,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     spec = preset_depth() if args.preset == "depth" else preset_refined()
-    series = expand(spec, args.order)
-    rows = [{"n": n, "coefficient": str(series[n])} for n in range(len(series))]
+    # Each coefficient is dropped once rendered, so only one is held unpacked.
+    rows = [{"n": n, "coefficient": str(c)} for n, c in enumerate(_series(spec, args.order))]
     print(_emit_table(rows, args.format))
     return 0
 
@@ -145,7 +145,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose int and choice refusals, for every option and
-    the subcommand, echo the operand through ``errors._echo``."""
+    the subcommand, echo the operand through ``errors._echo``, and whose
+    refusal of extra operands names each long one by its length."""
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            texts = (text if len(text) <= ECHO_LIMIT else _echo(text, "a token") for text in extras)
+            self.error(f"unrecognized arguments: {' '.join(texts)}")
+        return parsed
 
     def _get_values(self, action, arg_strings):
         try:

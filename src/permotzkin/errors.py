@@ -36,7 +36,9 @@ LIMITS: dict[str, Limit] = {
     "path-enumeration": Limit(10, "path enumeration is"),
     # expand of preset_depth and of custom specs: preset_depth to 30 takes 0.02 s
     "expansion": Limit(30, "expansion is", "order"),
-    # expand of preset_refined, CLI, JSON: order 20/22/24 take 2.2/8.0/~30 s, 206/430/~900 MB
+    # expand of preset_refined, CLI, JSON, one coefficient held at a time: order 20/22 take
+    # 4.9/18.6 s and 141/281 MB on a guest where brute_force_gf(12) took 1.8 s (2.2/8.0 s
+    # on a usual day); order 24 took ~30 s and ~900 MB when the CLI held the whole series
     "refined-expansion": Limit(22, "expansion is", "order"),
     # brute_force_gf: n = 12 takes 1.4-1.9 s and 76 MB, n = 13 7.0 s and 201 MB (slow guest)
     "brute-force": Limit(12, "brute force is"),

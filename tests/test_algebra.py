@@ -359,7 +359,7 @@ packable_maps = st.dictionaries(
 )
 
 
-@given(packable_maps, st.sampled_from([64, 128]))
+@given(packable_maps, st.sampled_from([64, 128, 192]))
 def test_unpack_q_inverts_the_packing_substitution(terms, width):
     poly = MultiPoly(terms)
     packed = poly.substitute({"q": 1 << width})

@@ -130,6 +130,32 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_expand_bytes_at_every_order(capsys):
+    # Taken before expand streamed its coefficients to the CLI.
+    digest = hashlib.sha256()
+    for preset, top in (("refined", 14), ("depth", 30)):
+        for order in range(top + 1):
+            for fmt in ("text", "json", "csv"):
+                code, out, err = run(
+                    capsys, "expand", "--preset", preset, "--order", str(order), "--format", fmt
+                )
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+    assert digest.hexdigest() == "f4f7a65b7c1972a7b43649e0443341a1b86121764c1bec30a20413d4f801cf3e"
+
+
+@pytest.mark.parametrize(
+    "preset, order, err",
+    [
+        ("refined", "23", "error: expansion is limited to order <= 22\n"),
+        ("depth", "31", "error: expansion is limited to order <= 30\n"),
+        ("refined", "-1", "error: order must be non-negative, got -1\n"),
+    ],
+)
+def test_expand_refusals_print_nothing_to_stdout(capsys, preset, order, err):
+    assert run(capsys, "expand", "--preset", preset, "--order", order) == (2, "", err)
+
+
 # The digests below were taken from the same commands before paths were stored
 # as flat int tuples, so the representation change is pinned to the old bytes.
 
@@ -375,14 +401,28 @@ def test_long_inputs_are_echoed_by_their_length(capsys, argv, message):
             "argument command: invalid choice: a token of 3000 characters"
             " (choose from 'stats', ",
         ),
+        (
+            ["stats", "2 1", "y" * 3000, "z"],
+            "unrecognized arguments: a token of 3000 characters z",
+        ),
     ],
-    ids=["short", "order", "n", "max-n", "check", "preset", "format", "command"],
+    ids=["short", "order", "n", "max-n", "check", "preset", "format", "command", "extra"],
 )
 def test_parser_refusals_echo_long_operands_by_their_length(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"error: {message}" in err.splitlines()[-1]
     assert len(err.encode()) < 1024
+
+
+def test_short_extra_operands_are_echoed_whole(capsys):
+    usage = (
+        "usage: permotzkin [-h]\n"
+        "                  {stats,encode,decode,expand,imbalance,involution,verify} ...\n"
+    )
+    for extras in (["y"], ["y", "x" * 100]):
+        message = f"permotzkin: error: unrecognized arguments: {' '.join(extras)}\n"
+        assert run(capsys, "stats", "2 1", *extras) == (2, "", usage + message)
 
 
 @pytest.mark.parametrize(

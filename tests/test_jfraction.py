@@ -272,6 +272,15 @@ def test_truncation_is_monotone():
         assert short[n] == long[n]
 
 
+def test_the_series_unpacks_each_coefficient_only_when_it_is_taken(unpacked_widths):
+    full = expand(preset_refined(), 14)
+    for k in (1, 2, 8, 15):
+        unpacked_widths.clear()
+        head = tuple(itertools.islice(jfraction._series(preset_refined(), 14), k))
+        assert head == full[:k]
+        assert len(unpacked_widths) <= k - 1
+
+
 def test_expand_guard():
     with pytest.raises(SizeLimitError):
         expand(preset_depth(), 31)
