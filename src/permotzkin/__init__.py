@@ -38,7 +38,6 @@ from .motzkin import (
 from .permutations import (
     Permutation,
     depth_via_factorization,
-    is_alternating,
     iter_derangements,
     iter_group,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "enumerate_weighted",
     "euler_numbers",
     "expand",
-    "is_alternating",
     "iter_derangements",
     "iter_group",
     "parity_reversing_involution",

@@ -18,11 +18,11 @@ polynomials and are safe to share across threads or enumeration workers.
 Serialization lists terms in descending lexicographic exponent order, which
 is descending packed-key order:
 
->>> str((MultiPoly.one() - S * T) ** 2)
+>>> str((1 - S * T) ** 2)
 's^2*t^2 - 2*s*t + 1'
 >>> str(S * T**4 - 2 * S**2 * T**3)
 '-2*s^2*t^3 + s*t^4'
->>> ((MultiPoly.one() - S * T) ** 2).substitute({"s": 1, "t": 1})
+>>> ((1 - S * T) ** 2).substitute({"s": 1, "t": 1})
 MultiPoly('0')
 """
 
@@ -56,20 +56,16 @@ _GUARDS = sum(EXPONENT_LIMIT << shift for shift in _SHIFTS)
 _LOW_FIELDS = (1 << _SHIFT_Q) - 1  # the p, s and t fields of a key
 
 
-def _check_shape(mono: Monomial) -> None:
-    if len(mono) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in mono):
-        raise ValueError(f"bad exponent tuple {_echo(mono)}")
-
-
 def _shift(name: str) -> int:
     """The bit offset of one variable's field in a packed key."""
     if name not in VARIABLES:
-        raise ValueError(f"unknown variable {name!r}")
+        raise ValueError(f"unknown variable {_echo(name, 'a name')}")
     return _SHIFTS[VARIABLES.index(name)]
 
 
 def _pack(mono: Monomial) -> int:
-    _check_shape(mono)
+    if len(mono) != len(VARIABLES) or any(not isinstance(e, int) or e < 0 for e in mono):
+        raise ValueError(f"bad exponent tuple {_echo(mono)}")
     if max(mono) >= EXPONENT_LIMIT:
         raise ValueError(f"exponent tuple {_echo(mono)} has an exponent >= {EXPONENT_LIMIT}")
     eq, ep, es, et = mono
@@ -102,45 +98,21 @@ class MultiPoly:
         if terms:
             for mono, coeff in terms.items():
                 if not isinstance(coeff, int):
-                    raise TypeError(f"coefficient {coeff!r} is not an integer")
+                    raise TypeError(f"coefficient {_echo(coeff, 'a value')} is not an integer")
                 key = _pack(mono)
                 if coeff:
                     cleaned[key] = coeff
         self._terms = cleaned
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MultiPoly":
-        return cls.constant(1)
-
     @classmethod
     def constant(cls, value: int) -> "MultiPoly":
         return cls({(0, 0, 0, 0): value})
-
-    @classmethod
-    def variable(cls, name: str) -> "MultiPoly":
-        return cls.monomial(_unpack(1 << _shift(name)))
-
-    @classmethod
-    def monomial(cls, exponents: Monomial, coeff: int = 1) -> "MultiPoly":
-        return cls({tuple(exponents): coeff})
 
     # -- inspection ----------------------------------------------------
 
     def terms(self) -> dict[Monomial, int]:
         """A copy of the term map (monomial -> coefficient)."""
         return {_unpack(key): coeff for key, coeff in self._terms.items()}
-
-    def coefficient(self, exponents: Monomial) -> int:
-        _check_shape(exponents)
-        if max(exponents) >= EXPONENT_LIMIT:
-            return 0  # no stored term has such an exponent
-        return self._terms.get(_pack(exponents), 0)
 
     def constant_value(self) -> int:
         """The value of a constant polynomial.
@@ -250,8 +222,10 @@ class MultiPoly:
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = MultiPoly.one()
+            raise ValueError(
+                f"exponent must be a non-negative integer, got {_echo(exponent, 'a value')}"
+            )
+        result = MultiPoly.constant(1)
         for bit in f"{exponent:b}":  # binary powering, from the top bit
             result = result * result
             if bit == "1":
@@ -271,7 +245,7 @@ class MultiPoly:
         for name, value in assignment.items():
             shift = _shift(name)
             if not isinstance(value, int):
-                raise TypeError(f"substitution value {value!r} is not an integer")
+                raise TypeError(f"substitution value {_echo(value, 'a value')} is not an integer")
             fields.append((shift, value))
             keep &= ~(_FIELD_MASK << shift)
         result: dict[int, int] = {}
@@ -304,7 +278,9 @@ class MultiPoly:
         True
         """
         if width <= 0 or width % 64:
-            raise ValueError(f"slot width must be a positive multiple of 64, got {width!r}")
+            raise ValueError(
+                f"slot width must be a positive multiple of 64, got {_echo(width, 'a value')}"
+            )
         size = width // 8  # bytes per slot
         # Adding half to each slot carries every borrow out of the packed
         # integer; XOR with half then leaves each slot in two's complement.
@@ -377,10 +353,10 @@ def _monomial_text(key: int) -> str:
     return "*".join(parts)
 
 
-Q = MultiPoly.variable("q")
-P = MultiPoly.variable("p")
-S = MultiPoly.variable("s")
-T = MultiPoly.variable("t")
+Q = MultiPoly({(1, 0, 0, 0): 1})
+P = MultiPoly({(0, 1, 0, 0): 1})
+S = MultiPoly({(0, 0, 1, 0): 1})
+T = MultiPoly({(0, 0, 0, 1): 1})
 
 
 def q_integer(k: int) -> MultiPoly:
@@ -392,5 +368,5 @@ def q_integer(k: int) -> MultiPoly:
     MultiPoly('0')
     """
     if not isinstance(k, int) or k < 0:
-        raise ValueError(f"q_integer expects a non-negative integer, got {k!r}")
+        raise ValueError(f"q_integer expects a non-negative integer, got {_echo(k, 'a value')}")
     return MultiPoly({(i, 0, 0, 0): 1 for i in range(k)})

@@ -71,15 +71,25 @@ ECHO_LIMIT = 100
 def _echo(value: object, noun: str = "") -> str:
     """``repr(value)``, or past ``ECHO_LIMIT`` characters ``noun`` and its length.
 
-    >>> _echo("x"), _echo(-(10**200)), _echo("x" * 300, "a token")
-    ("'x'", 'of 201 digits', 'a token of 300 characters')
+    An int is measured by ``_digits``, as ``repr`` refuses one past 4,300 digits.
+
+    >>> _echo("x"), _echo(-(10**200)), _echo("x" * 300, "a token"), _echo(10**5000)
+    ("'x'", 'of 201 digits', 'a token of 300 characters', 'of 5001 digits')
     """
+    if isinstance(value, int) and (digits := _digits(abs(value))) + (value < 0) > ECHO_LIMIT:
+        return f"{noun} of {digits} digits".lstrip()
     text = repr(value)
     if len(text) <= ECHO_LIMIT:
         return text
-    if isinstance(value, int):
-        return f"{noun} of {len(text.lstrip('-'))} digits".lstrip()
     return f"{noun} of {len(value if isinstance(value, str) else text)} characters".lstrip()
+
+
+def _digits(value: int) -> int:
+    """The number of decimal digits of ``value`` >= 0, counted from its bit length."""
+    power = max(value.bit_length() - 1, 0) * 30102 // 100000  # 10^power <= value, or 1
+    while 10 ** (power + 1) <= value:
+        power += 1
+    return power + 1
 
 
 def check_size(value: int, limit: str, bound: int | None = None) -> None:

@@ -26,21 +26,21 @@ from __future__ import annotations
 import math
 
 from .algebra import MultiPoly, S, T
-from .errors import LIMITS, check_size
+from .errors import LIMITS, _echo, check_size
 from .jfraction import brute_force_gf
 
 
 def signed_gf_permutations(n: int) -> MultiPoly:
     """sum over S_n of (-1)^inv s^exc t^depth; equals (1 - st)^(n-1)."""
     if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
+        raise ValueError(f"defined for n >= 1, got {_echo(n, 'a number')}")
     return brute_force_gf(n).substitute({"q": -1, "p": 1})
 
 
 def derangement_signed_gf(n: int) -> MultiPoly:
     """sum over fixed-point-free sigma of (-1)^inv s^exc t^depth."""
     if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
+        raise ValueError(f"defined for n >= 1, got {_echo(n, 'a number')}")
     return brute_force_gf(n).substitute({"q": -1, "p": 0})
 
 
@@ -68,7 +68,7 @@ def derangement_table_row(n: int) -> list[tuple[int, MultiPoly, MultiPoly]]:
     series' z^n coefficient and of the signed derangement polynomial of n."""
     computed = derangement_signed_gf(n).split_by_exponent("t")
     expected = _rhs_coefficient(n).split_by_exponent("t")
-    zero = MultiPoly.zero()
+    zero = MultiPoly()
     return [
         (k, expected.get(k, zero), computed.get(k, zero))
         for k in sorted(computed.keys() | expected.keys())

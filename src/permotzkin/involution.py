@@ -46,7 +46,7 @@ from collections import defaultdict
 from functools import lru_cache, partial
 
 from . import permutations
-from .errors import LIMITS, SizeLimitError, check_size
+from .errors import LIMITS, SizeLimitError, _echo, check_size
 from .jfraction import brute_force_gf
 from .permutations import _TRIPLE, _UNIT, Permutation
 
@@ -60,7 +60,7 @@ def euler_numbers(limit: int) -> tuple[int, ...]:
     """
     bound, what, name = LIMITS["euler"]
     if limit < 0:
-        raise ValueError(f"{name} must be non-negative, got {limit}")
+        raise ValueError(f"{name} must be non-negative, got {_echo(limit, 'a number')}")
     if limit > bound:
         raise SizeLimitError(f"{what} limited to {bound} entries")
     values = [1]

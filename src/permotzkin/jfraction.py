@@ -25,13 +25,14 @@ is unpacked with ``MultiPoly.unpack_q`` as the DP reaches it: ``_series``
 yields the coefficients one at a time and ``expand`` collects them.  The CLI
 renders each one and drops it, so it holds one unpacked coefficient at a
 time: ``expand --preset refined`` peaks at 141 MB at order 20 and 281 MB at
-order 22, against 207 MB and 427 MB when it held the whole series (2-vCPU
-guest, stdout to /dev/null).  A scalar run of the same DP first
-bounds every coefficient and q-degree, which fixes w in whole 64-bit words
-and the slot count.  A packed product costs in proportion to the width of
-its classes however few terms they hold, so a spec whose classes would span
-more than ``PACKED_WORDS_LIMIT`` words, or whose q-exponents are all
-multiples of one g > 1, runs the DP on plain polynomials.
+order 22 (2-vCPU guest, stdout to /dev/null).  A scalar run of the same DP
+first bounds every coefficient and q-degree, which fixes w in whole 64-bit
+words and the slot count.  A packed product costs in proportion to the
+width of its classes however few terms they hold, so three kinds of spec
+run the DP on plain polynomials: one whose classes would span more than
+``PACKED_WORDS_LIMIT`` words, one whose q-exponents are all multiples of one
+g > 1, and one with no q at all, such as ``preset_depth``, where packing
+buys nothing.
 
 Two coefficient presets are built in:
 
@@ -103,15 +104,15 @@ def _series(spec: JFractionSpec, order: int) -> Iterator[MultiPoly]:
     check_size(order, "expansion", spec.max_order)
     max_height = order // 2
     gamma = [spec.gamma(h) for h in range(max_height + 1)]
-    lam = [MultiPoly.zero()] + [spec.lam(h) for h in range(1, max_height + 1)]
+    lam = [MultiPoly()] + [spec.lam(h) for h in range(1, max_height + 1)]
     width = _slot_width(gamma, lam, order)
     if width:
         packing = {"q": 1 << width}
         gamma = [poly.substitute(packing) for poly in gamma]
         lam = [poly.substitute(packing) for poly in lam]
 
-    yield MultiPoly.one()
-    for state in _steps(MultiPoly.one(), gamma, lam, order, MultiPoly.sum_of_products):
+    yield MultiPoly.constant(1)
+    for state in _steps(MultiPoly.constant(1), gamma, lam, order, MultiPoly.sum_of_products):
         yield state[0].unpack_q(width) if width else state[0]
 
 
@@ -145,11 +146,12 @@ def _slot_width(gamma: list[MultiPoly], lam: list[MultiPoly], order: int) -> int
     lambda_h, bounds every coefficient of every partial sum, so a slot of that
     many bits plus a sign never carries into the next.  Packing is refused
     when a class of (top degree + 1) slots would span more than
-    ``PACKED_WORDS_LIMIT`` words, or when one g > 1 divides every q-exponent
-    of gamma_h and lambda_h, leaving all but one slot in g empty.
+    ``PACKED_WORDS_LIMIT`` words, when one g > 1 divides every q-exponent
+    of gamma_h and lambda_h, leaving all but one slot in g empty, and when
+    their gcd is 0: no q at all, so every class holds one slot.
     """
     terms = [poly.terms() for poly in gamma + lam]
-    if math.gcd(*(eq for part in terms for eq, *_ in part)) > 1:
+    if math.gcd(*(eq for part in terms for eq, *_ in part)) != 1:
         return None
     bounds = [(sum(map(abs, part.values())), max(part, default=(0,))[0]) for part in terms]
     factors = bounds[: len(gamma)], bounds[len(gamma) :]

@@ -163,7 +163,7 @@ def step_weight(kind: StepKind, h: int, d: int) -> MultiPoly:
         if h < 0 or d != 0:
             got = f"({_echo(h, 'a number')},{_echo(d, 'a number')})"
             raise InvalidPathError(f"H3 needs height >= 0 and choice 0, got {got}")
-        return MultiPoly.monomial((2 * h, 1, 0, h))
+        return MultiPoly({(2 * h, 1, 0, h): 1})
     if h < 1:
         raise InvalidPathError(
             f"{kind.value} height must be >= 1"
@@ -175,10 +175,10 @@ def step_weight(kind: StepKind, h: int, d: int) -> MultiPoly:
             f"{kind.value} choice {_echo(d)} out of range 0..{_echo(h - 1, 'a number')}"
         )
     if kind is StepKind.U:
-        return MultiPoly.monomial((d, 0, 1, 2 * h - 1))
+        return MultiPoly({(d, 0, 1, 2 * h - 1): 1})
     if kind is StepKind.D:
-        return MultiPoly.monomial((2 * h - 1 + d, 0, 0, 0))
-    return MultiPoly.monomial((h + d, 0, int(kind is StepKind.H1), h))
+        return MultiPoly({(2 * h - 1 + d, 0, 0, 0): 1})
+    return MultiPoly({(h + d, 0, int(kind is StepKind.H1), h): 1})
 
 
 def path_exponents(path: WeightedMotzkinPath) -> Monomial:
@@ -245,7 +245,7 @@ def validate(path: WeightedMotzkinPath) -> tuple[bool, str]:
 def path_weight(path: WeightedMotzkinPath) -> MultiPoly:
     """Product of the step weights, always a single monomial.  No command calls
     it; it is the tests' weight oracle, and a perfbench metric names it."""
-    return MultiPoly.monomial(path_exponents(path))
+    return MultiPoly({path_exponents(path): 1})
 
 
 def enumerate_weighted(n: int) -> Iterator[WeightedMotzkinPath]:

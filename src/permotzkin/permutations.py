@@ -54,10 +54,6 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse one-line notation, reporting the first bad token.
 
@@ -90,13 +86,6 @@ class Permutation:
 
     def to_text(self) -> str:
         return " ".join(str(v) for v in self.images)
-
-    def inverse(self) -> "Permutation":
-        images = self.images
-        inv = [0] * len(images)
-        for i, v in enumerate(images, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
 
 
 def image_stats(images: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -235,16 +224,3 @@ def iter_derangements(n: int) -> Iterator[Permutation]:
     for images in itertools.permutations(positions):
         if all(map(ne, images, positions)):
             yield _trusted(images)
-
-
-def is_alternating(perm: Permutation) -> bool:
-    """True for the down-up pattern sigma(1) > sigma(2) < sigma(3) > ...; the
-    tests' oracle that S_n holds E_n such permutations."""
-    images = perm.images
-    for i in range(len(images) - 1):
-        if i % 2 == 0:
-            if images[i] < images[i + 1]:
-                return False
-        elif images[i] > images[i + 1]:
-            return False
-    return True

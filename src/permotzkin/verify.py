@@ -37,7 +37,7 @@ from typing import Callable
 
 from . import bijection, identities, involution, jfraction, motzkin, permutations
 from .algebra import MultiPoly, S, T
-from .errors import LIMITS, check_size
+from .errors import ECHO_LIMIT, LIMITS, _echo, check_size
 from .motzkin import StepKind
 from .permutations import (
     _TRIPLE, _UNIT, Permutation, _pack, depth_via_factorization, image_stats, iter_group
@@ -133,7 +133,7 @@ def _involution(n: int) -> tuple[str, str]:
 
 
 def _signed_gf(n: int) -> tuple[str, str]:
-    expected = (MultiPoly.one() - S * T) ** (n - 1)
+    expected = (1 - S * T) ** (n - 1)
     return str(expected), str(identities.signed_gf_permutations(n))
 
 
@@ -228,7 +228,8 @@ def run_checks(names: list[str] | None = None, max_n: int = 6) -> list[ReportRec
     selected = list(CHECKS) if not names else names
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        texts = (name if len(name) <= ECHO_LIMIT else _echo(name, "a name") for name in unknown)
+        raise ValueError(f"unknown checks: {', '.join(texts)}")
     records: list[ReportRecord] = []
     for name in dict.fromkeys(selected):  # each check once, however often named
         records.extend(CHECKS[name](max_n))

@@ -29,7 +29,7 @@ GUARDS = {
         "enumeration is limited to n <= 12",
     ),
     "depth_via_factorization-over": (
-        lambda: permutations.depth_via_factorization(Permutation.identity(8)),
+        lambda: permutations.depth_via_factorization(Permutation(tuple(range(1, 9)))),
         SizeLimitError,
         "factorization search is limited to n <= 7",
     ),
@@ -69,7 +69,7 @@ GUARDS = {
         "sign imbalance is limited to n <= 12",
     ),
     "parity_reversing_involution-over": (
-        lambda: involution.parity_reversing_involution(Permutation.identity(10)),
+        lambda: involution.parity_reversing_involution(Permutation(tuple(range(1, 11)))),
         SizeLimitError,
         "involution tables are limited to n <= 9",
     ),

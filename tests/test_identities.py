@@ -21,7 +21,7 @@ def test_signed_gf_collapses_to_binomial_power(n):
 
 
 def test_signed_gf_examples():
-    assert signed_gf_permutations(1) == MultiPoly.one()
+    assert signed_gf_permutations(1) == MultiPoly.constant(1)
     assert signed_gf_permutations(2) == 1 - S * T
     assert signed_gf_permutations(3) == 1 - 2 * S * T + S**2 * T**2
 
@@ -35,7 +35,7 @@ def test_signed_gf_rejects_zero():
 
 
 def test_derangement_gf_initial_values():
-    assert derangement_signed_gf(1) == MultiPoly.zero()
+    assert derangement_signed_gf(1) == MultiPoly()
     assert derangement_signed_gf(2) == -(S * T)
     assert derangement_signed_gf(3) == S * (1 + S) * T**2
     assert derangement_signed_gf(4) == S**2 * T**2 - S * (1 + S) ** 2 * T**3
@@ -52,8 +52,8 @@ def test_derangement_gf_specializes_the_full_distribution():
 
 def test_series_rhs_low_coefficients():
     series = derangement_series_rhs(9)
-    assert series[0] == MultiPoly.zero()
-    assert series[1] == MultiPoly.zero()
+    assert series[0] == MultiPoly()
+    assert series[1] == MultiPoly()
     assert series[2] == -(S * T)
     assert series[3] == S * (1 + S) * T**2
 

@@ -40,9 +40,9 @@ def motzkin_paths(n, height=0):
 
 def path_sum(spec, n):
     """The z^n coefficient of the continued fraction, one path at a time."""
-    total = MultiPoly.zero()
+    total = MultiPoly()
     for path in motzkin_paths(n):
-        weight = MultiPoly.one()
+        weight = MultiPoly.constant(1)
         for kind, height in path:
             if kind == "H":
                 weight = weight * spec.gamma(height)
@@ -54,7 +54,7 @@ def path_sum(spec, n):
 
 def test_depth_preset_coefficients():
     spec = preset_depth()
-    assert spec.gamma(0) == MultiPoly.one()
+    assert spec.gamma(0) == MultiPoly.constant(1)
     assert spec.gamma(1) == 3 * T
     assert spec.lam(1) == T
     assert spec.lam(2) == 4 * T**3
@@ -69,9 +69,10 @@ def test_refined_preset_coefficients():
 
 def test_expansion_head_is_generic():
     gamma0 = 7 * Q + P
-    spec = JFractionSpec(gamma=lambda h: gamma0 if h == 0 else MultiPoly.one(), lam=lambda h: S)
+    one = MultiPoly.constant(1)
+    spec = JFractionSpec(gamma=lambda h: gamma0 if h == 0 else one, lam=lambda h: S)
     series = expand(spec, 2)
-    assert series[0] == MultiPoly.one()
+    assert series[0] == one
     assert series[1] == gamma0
     assert series[2] == gamma0 * gamma0 + S
 
@@ -103,7 +104,7 @@ def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch, unpac
     # a q gap of 2^16 puts the same products on the plain side of the cut
     for gap, packed in ((1, True), (2**16, False)):
         gammas = [(h + 2) * Q ** (h * gap) + P for h in range(order)]
-        lams = [MultiPoly.zero()] + [(2 * h + 1) * S * T**h for h in range(1, order)]
+        lams = [MultiPoly()] + [(2 * h + 1) * S * T**h for h in range(1, order)]
         spec = JFractionSpec(gamma=gammas.__getitem__, lam=lams.__getitem__)
         products = []
 
@@ -124,8 +125,8 @@ def test_expansion_only_multiplies_at_heights_that_can_return(monkeypatch, unpac
 def naive_expand(spec, order):
     """The continued fraction's series by a DP over every height, with plain
     ``*`` and ``+``: no height is ever pruned."""
-    coeffs = [MultiPoly.one()]
-    state = {0: MultiPoly.one()}
+    coeffs = [MultiPoly.constant(1)]
+    state = {0: MultiPoly.constant(1)}
     for _ in range(order):
         nxt = {}
         for height, poly in state.items():
@@ -133,7 +134,7 @@ def naive_expand(spec, order):
             if height:
                 moves.append((height - 1, poly * spec.lam(height)))
             for target, weight in moves:
-                nxt[target] = nxt.get(target, MultiPoly.zero()) + weight
+                nxt[target] = nxt.get(target, MultiPoly()) + weight
         state = nxt
         coeffs.append(state[0])
     return coeffs
@@ -179,7 +180,7 @@ def test_a_q_gapped_spec_takes_the_plain_dp(unpacked_widths):
         series = expand(spec, 12)
         assert unpacked_widths == []
         assert list(series) == naive_expand(spec, 12)
-        assert series[12].coefficient((6 * gap, 0, 6, 0)) == 1  # (UD)^6 alone
+        assert series[12].terms().get((6 * gap, 0, 6, 0), 0) == 1  # (UD)^6 alone
 
 
 def test_a_spec_that_packs_wider_than_the_cut_takes_the_plain_dp(monkeypatch, unpacked_widths):
@@ -203,7 +204,7 @@ def test_a_spec_that_packs_wider_than_the_cut_takes_the_plain_dp(monkeypatch, un
 def slot_width(spec, order):
     """``_slot_width`` on the coefficient lists that ``expand`` builds."""
     heights = range(order // 2 + 1)
-    lam = [MultiPoly.zero()] + [spec.lam(h) for h in heights[1:]]
+    lam = [MultiPoly()] + [spec.lam(h) for h in heights[1:]]
     return jfraction._slot_width([spec.gamma(h) for h in heights], lam, order)
 
 
@@ -217,8 +218,9 @@ def test_a_sparse_spec_with_coprime_q_exponents_packs(unpacked_widths):
 
 
 def test_exponent_overflow_raises_on_both_sides_of_the_cut(unpacked_widths):
-    overflowing = MultiPoly.monomial((0, 0, 0, EXPONENT_LIMIT // 2))
-    packed = JFractionSpec(gamma=lambda h: P + overflowing, lam=lambda h: S)
+    overflowing = MultiPoly({(0, 0, 0, EXPONENT_LIMIT // 2): 1})
+    # the Q term makes the spec pack: a spec with no q at all runs plain
+    packed = JFractionSpec(gamma=lambda h: P + Q + overflowing, lam=lambda h: S)
     with pytest.raises(ValueError):
         expand(packed, 2)
     assert unpacked_widths == [64]  # step 1 unpacked, step 2 overflows t
@@ -226,6 +228,14 @@ def test_exponent_overflow_raises_on_both_sides_of_the_cut(unpacked_widths):
     with pytest.raises(ValueError):
         expand(plain, 2)
     assert unpacked_widths == [64]
+
+
+def test_a_spec_with_no_q_takes_the_plain_dp(unpacked_widths):
+    # every q-exponent is 0, their gcd is 0, and each class would fill one slot
+    for order in (9, 30):
+        expand(preset_depth(), order)
+        assert slot_width(preset_depth(), order) is None
+    assert unpacked_widths == []
 
 
 def test_depth_preset_order_three():
@@ -286,7 +296,8 @@ def test_expand_guard():
         expand(preset_depth(), 31)
     with pytest.raises(SizeLimitError):
         expand(preset_refined(), 23)
-    custom = JFractionSpec(gamma=lambda h: MultiPoly.one(), lam=lambda h: MultiPoly.one())
+    one = MultiPoly.constant(1)
+    custom = JFractionSpec(gamma=lambda h: one, lam=lambda h: one)
     assert custom.max_order == preset_depth().max_order == LIMITS["expansion"].bound == 30
     assert preset_refined().max_order == LIMITS["refined-expansion"].bound == 22
     with pytest.raises(SizeLimitError):
@@ -296,7 +307,7 @@ def test_expand_guard():
 
 
 def test_brute_force_examples():
-    assert brute_force_gf(0) == MultiPoly.one()
+    assert brute_force_gf(0) == MultiPoly.constant(1)
     assert brute_force_gf(2) == P**2 + Q * S * T
     assert brute_force_gf(2).substitute({"p": 1, "s": 1, "q": 1}) == 1 + T
 

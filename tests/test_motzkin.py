@@ -104,7 +104,7 @@ def test_step_weight_echoes_long_numbers_by_their_length(h, d, message):
 
 def test_path_weight_examples():
     assert path_weight(path_of("U(1,0) H3(1,0) D(1,0)")) == P * S * T**2 * Q**3
-    assert path_weight(path_of("")) == MultiPoly.one()
+    assert path_weight(path_of("")) == MultiPoly.constant(1)
     assert path_weight(path_of("H3(0,0) H3(0,0) H3(0,0)")) == P**3
 
 
@@ -209,7 +209,7 @@ def test_enumeration_guard():
 
 def test_total_weight_at_ones_is_factorial():
     for n in range(6):
-        total = MultiPoly.zero()
+        total = MultiPoly()
         for path in enumerate_weighted(n):
             total = total + path_weight(path)
         value = total.substitute({"q": 1, "p": 1, "s": 1, "t": 1})
@@ -229,8 +229,8 @@ def test_horizontal_weights_are_distinguishable():
 def test_level_sums_match_continued_fraction_coefficients():
     qt = Q * T
     for h in range(1, 7):
-        up = sum((step_weight(StepKind.U, h, d) for d in range(h)), MultiPoly.zero())
-        down = sum((step_weight(StepKind.D, h, d) for d in range(h)), MultiPoly.zero())
+        up = sum((step_weight(StepKind.U, h, d) for d in range(h)), MultiPoly())
+        down = sum((step_weight(StepKind.D, h, d) for d in range(h)), MultiPoly())
         assert up * down == S * q_integer(h) ** 2 * qt ** (2 * h - 1)
         horiz = sum(
             (step_weight(kind, h, d) for kind in (StepKind.H1, StepKind.H2) for d in range(h)),

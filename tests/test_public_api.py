@@ -11,11 +11,29 @@ from permotzkin import algebra, identities, motzkin, permutations
 # WeightedStep and path.steps are the path's records (to_records) or flat
 # tuples, str(kind) is kind.value, a TableCell is a (k, expected,
 # computed) tuple, and packed_key and from_packed, which exposed the key
-# layout, are the tuple constructor MultiPoly({exponents: coeff}).
+# layout, are the tuple constructor MultiPoly({exponents: coeff}).  That
+# constructor is also the one way to build a polynomial: MultiPoly.zero() is
+# MultiPoly(), one() is MultiPoly.constant(1), monomial(e) is
+# MultiPoly({e: 1}), variable(name) is Q, P, S or T, and poly.coefficient(m)
+# is poly.terms().get(m, 0).  Permutation.identity(n) is
+# Permutation(tuple(range(1, n + 1))); inverse and is_alternating, which only
+# the tests called, are test oracles in tests/oracles.py.
 REMOVED = {
-    permutations: ("four_stats", "inv_count", "fix_count", "exc_count", "depth"),
-    permutations.Permutation: ("n",),
-    algebra.MultiPoly: ("is_zero", "__iter__", "packed_key", "from_packed"),
+    permutations: (
+        "four_stats", "inv_count", "fix_count", "exc_count", "depth", "is_alternating"
+    ),
+    permutations.Permutation: ("n", "identity", "inverse"),
+    algebra.MultiPoly: (
+        "is_zero",
+        "__iter__",
+        "packed_key",
+        "from_packed",
+        "zero",
+        "one",
+        "monomial",
+        "variable",
+        "coefficient",
+    ),
     algebra: ("binomial",),
     motzkin: ("WeightedStep",),
     motzkin.WeightedMotzkinPath: ("steps",),
@@ -28,6 +46,7 @@ REMOVED = {
         "depth",
         "binomial",
         "WeightedStep",
+        "is_alternating",
     ),
 }
 
@@ -49,5 +68,5 @@ def test_removed_names_stay_removed():
 
 def test_removed_methods_stay_removed():
     # hasattr finds __call__ and __str__ on every class: test an instance, and the enum's own namespace
-    assert not callable(permutations.Permutation.identity(2))
+    assert not callable(permutations.Permutation((1, 2)))
     assert "__str__" not in vars(motzkin.StepKind)

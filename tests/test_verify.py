@@ -116,7 +116,7 @@ def test_derangement_table_check_names_the_first_cell_that_differs(monkeypatch, 
 
     monkeypatch.setattr(identities, "derangement_signed_gf", broken)
     records = verify.run_checks(["derangement-table"], 0)
-    layer = identities._rhs_coefficient(5).split_by_exponent("t").get(k, MultiPoly.zero())
+    layer = identities._rhs_coefficient(5).split_by_exponent("t").get(k, MultiPoly())
     got = layer + extra.split_by_exponent("t")[k]
     assert [(record.n, record.computed) for record in records if not record.passed] == [
         (5, f"t^{k}: expected {layer}, got {got}")
