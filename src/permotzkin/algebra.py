@@ -261,52 +261,6 @@ class MultiPoly:
                 result.pop(reduced, None)
         return _wrap(result)
 
-    def unpack_q(self, width: int) -> "MultiPoly":
-        """The polynomial f with ``f.substitute({"q": 1 << width}) == self``.
-
-        That substitution packs the q-polynomial of each (p, s, t) class into
-        one integer, with one ``width``-bit slot per power of q, and sums and
-        products of packed polynomials stay packed.  This is its inverse,
-        exact whenever ``self`` has no q and every coefficient of f is below
-        2^(width - 1) in absolute value.  ``width`` is a multiple of 64.
-
-        >>> poly = 3 * Q**2 * S - Q * S + 5
-        >>> poly.substitute({"q": 1 << 64}).unpack_q(64) == poly
-        True
-        >>> poly = -(2**100) * Q**3 * P + 7 * Q * P - Q**2 + 1
-        >>> poly.substitute({"q": 1 << 128}).unpack_q(128) == poly
-        True
-        """
-        if width <= 0 or width % 64:
-            raise ValueError(
-                f"slot width must be a positive multiple of 64, got {_echo(width, 'a value')}"
-            )
-        size = width // 8  # bytes per slot
-        # Adding half to each slot carries every borrow out of the packed
-        # integer; XOR with half then leaves each slot in two's complement.
-        half_slot = (1 << (width - 1)).to_bytes(size, "little")
-        terms: dict[int, int] = {}
-        for low, packed in self._terms.items():
-            if low >> _SHIFT_Q:
-                raise ValueError(f"{_monomial_text(low)} has a power of q")
-            zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
-            packed >>= zeros * width
-            count = packed.bit_length() // width + 1
-            bias = int.from_bytes(half_slot * count, "little")
-            raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
-            if size == 8:
-                slots = struct.unpack(f"<{count}q", raw)
-            else:
-                slots = [
-                    int.from_bytes(raw[i : i + size], "little", signed=True)
-                    for i in range(0, len(raw), size)
-                ]
-            keys = range(zeros << _SHIFT_Q | low, (zeros + count) << _SHIFT_Q, 1 << _SHIFT_Q)
-            terms.update(compress(zip(keys, slots), slots))
-        if terms and (max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
-            raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
-        return _wrap(terms)
-
     # -- comparison and rendering ---------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -351,6 +305,47 @@ def _monomial_text(key: int) -> str:
         if exponent := key >> shift & _FIELD_MASK:
             parts.append(f"{name}^{exponent}" if exponent > 1 else name)
     return "*".join(parts)
+
+
+def _unpack_q(poly: MultiPoly, width: int) -> MultiPoly:
+    """The polynomial f with ``f.substitute({"q": 1 << width}) == poly``.
+
+    That substitution packs the q-polynomial of each (p, s, t) class into
+    one integer, with one ``width``-bit slot per power of q, and sums and
+    products of packed polynomials stay packed.  This is its inverse, exact
+    whenever ``poly`` has no q, ``width`` is a positive multiple of 64 and
+    every coefficient of f is below 2^(width - 1) in absolute value.
+
+    >>> f = 3 * Q**2 * S - Q * S + 5
+    >>> _unpack_q(f.substitute({"q": 1 << 64}), 64) == f
+    True
+    >>> f = -(2**100) * Q**3 * P + 7 * Q * P - Q**2 + 1
+    >>> _unpack_q(f.substitute({"q": 1 << 128}), 128) == f
+    True
+    """
+    size = width // 8  # bytes per slot
+    # Adding half to each slot carries every borrow out of the packed
+    # integer; XOR with half then leaves each slot in two's complement.
+    half_slot = (1 << (width - 1)).to_bytes(size, "little")
+    terms: dict[int, int] = {}
+    for low, packed in poly._terms.items():
+        zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
+        packed >>= zeros * width
+        count = packed.bit_length() // width + 1
+        bias = int.from_bytes(half_slot * count, "little")
+        raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
+        if size == 8:
+            slots = struct.unpack(f"<{count}q", raw)
+        else:
+            slots = [
+                int.from_bytes(raw[i : i + size], "little", signed=True)
+                for i in range(0, len(raw), size)
+            ]
+        keys = range(zeros << _SHIFT_Q | low, (zeros + count) << _SHIFT_Q, 1 << _SHIFT_Q)
+        terms.update(compress(zip(keys, slots), slots))
+    if terms and (max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
+        raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
+    return _wrap(terms)
 
 
 Q = MultiPoly({(1, 0, 0, 0): 1})

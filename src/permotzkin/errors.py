@@ -40,7 +40,7 @@ LIMITS: dict[str, Limit] = {
     # 4.9/18.6 s and 141/281 MB on a guest where brute_force_gf(12) took 1.8 s (2.2/8.0 s
     # on a usual day); order 24 took ~30 s and ~900 MB when the CLI held the whole series
     "refined-expansion": Limit(22, "expansion is", "order"),
-    # brute_force_gf: n = 12 takes 1.4-1.9 s and 76 MB, n = 13 7.0 s and 201 MB (slow guest)
+    # brute_force_gf: n = 12/13 take 1.1/3.7 s and 53/129 MB (1.4-1.9/7.0 s on a slow guest)
     "brute-force": Limit(12, "brute force is"),
     # sign_imbalance_depth and _exc: one brute_force_gf(n) and a substitution
     "sign-imbalance": Limit(12, "sign imbalance is"),
@@ -71,14 +71,18 @@ ECHO_LIMIT = 100
 def _echo(value: object, noun: str = "") -> str:
     """``repr(value)``, or past ``ECHO_LIMIT`` characters ``noun`` and its length.
 
-    An int is measured by ``_digits``, as ``repr`` refuses one past 4,300 digits.
+    An int is measured by ``_digits``, as ``repr`` refuses one past 4,300 digits;
+    a container that holds such an int is named by ``noun`` and that fact.
 
     >>> _echo("x"), _echo(-(10**200)), _echo("x" * 300, "a token"), _echo(10**5000)
     ("'x'", 'of 201 digits', 'a token of 300 characters', 'of 5001 digits')
     """
     if isinstance(value, int) and (digits := _digits(abs(value))) + (value < 0) > ECHO_LIMIT:
         return f"{noun} of {digits} digits".lstrip()
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # it holds an int past that limit
+        return f"{noun} holding a number past the interpreter's limit on digits".lstrip()
     if len(text) <= ECHO_LIMIT:
         return text
     return f"{noun} of {len(value if isinstance(value, str) else text)} characters".lstrip()

@@ -21,7 +21,7 @@ The DP packs q (Kronecker substitution): it runs on gamma_h and lambda_h
 with q = 2^w substituted, so each state holds one integer per (p, s, t)
 class, and a product costs one C-level integer multiplication per pair of
 classes instead of one dict update per pair of terms.  Each z^n coefficient
-is unpacked with ``MultiPoly.unpack_q`` as the DP reaches it: ``_series``
+is unpacked with ``algebra._unpack_q`` as the DP reaches it: ``_series``
 yields the coefficients one at a time and ``expand`` collects them.  The CLI
 renders each one and drops it, so it holds one unpacked coefficient at a
 time: ``expand --preset refined`` peaks at 141 MB at order 20 and 281 MB at
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .algebra import MultiPoly, P, Q, S, T, q_integer
+from .algebra import MultiPoly, P, Q, S, T, _unpack_q, q_integer
 from .errors import LIMITS, check_size
 from .permutations import _fold_values_left
 
@@ -113,7 +113,7 @@ def _series(spec: JFractionSpec, order: int) -> Iterator[MultiPoly]:
 
     yield MultiPoly.constant(1)
     for state in _steps(MultiPoly.constant(1), gamma, lam, order, MultiPoly.sum_of_products):
-        yield state[0].unpack_q(width) if width else state[0]
+        yield _unpack_q(state[0], width) if width else state[0]
 
 
 def _steps(start, gamma, lam, order, combine):

@@ -21,7 +21,7 @@ with an optional sign (``[+-]?[0-9]+``; ``1_0`` and other digits are not
 integers); the empty string is the unique permutation of n = 0.
 ``iter_group`` streams S_n and ``iter_derangements`` filters it.
 ``_stats_by_rank`` and ``jfraction.brute_force_gf`` hold the statistics of
-all of S_n, both folded by ``_fold_values_left`` without walking S_n.
+all of S_n, both folded by ``_fold_values_left`` over sets of values, not S_n.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import heapq
 import itertools
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ne
@@ -136,19 +137,18 @@ def _fold_values_left(n: int, empty, combine: Callable[[list[tuple[int, object]]
     in R ascending; step packs what v adds at position n - |R| + 1: one
     inversion per smaller value of R, and its fix, exc and depth.  inv, the
     largest field, reaches n(n - 1)/2, which fits its byte, <= 255, for n <= 23.
+    Each size's sets are built by extending the held sets of the size before.
     """
     blocks = {0: empty}  # by the bit mask of R
-    for size in range(1, n + 1):
-        position = n - size + 1
-        held = {}
-        for values in itertools.combinations(range(1, n + 1), size):
-            mask = sum(1 << v for v in values)
-            parts = []
-            for smaller, v in enumerate(values):  # the values of R below v
-                step = _pack((smaller, v == position, v > position, max(v - position, 0)))
-                parts.append((step, blocks[mask ^ 1 << v]))
-            held[mask] = combine(parts)
-        blocks = held
+    for position in range(n, 0, -1):
+        held = defaultdict(list)  # the (step, block) pairs of each R of size n - position + 1
+        for v in range(1, n + 1):
+            bit, step = 1 << v, _pack((0, v == position, v > position, max(v - position, 0)))
+            for mask, block in blocks.items():
+                if not mask & bit:  # R = mask + v, whose values below v are mask's
+                    held[mask | bit].append((step + (mask & bit - 1).bit_count(), block))
+        del blocks  # so each block is freed once its last superset is combined
+        blocks = {mask: combine(held.pop(mask)) for mask in [*held]}
     return blocks.popitem()[1]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from permotzkin import identities, involution, verify
 from permotzkin.algebra import MultiPoly, Q, q_integer
+from permotzkin.permutations import Permutation
 from permotzkin.errors import _digits
 
 # site -> (the call on one input, the refusal's type, a short input, its refusal,
@@ -48,13 +49,6 @@ SITES = {
         -1,
         "limit must be non-negative, got -1",
         "limit must be non-negative, got a number of {} digits",
-    ),
-    "unpack_q": (
-        MultiPoly().unpack_q,
-        ValueError,
-        65,
-        "slot width must be a positive multiple of 64, got 65",
-        "slot width must be a positive multiple of 64, got a value of {} digits",
     ),
     "substitute": (
         lambda value: Q.substitute({"q": value}),
@@ -101,6 +95,31 @@ def test_a_long_input_is_refused_by_its_length(site, length):
     value = 1 - 10**length if isinstance(short, int) else "x" * length
     message = long_message.format(length)
     assert refusal(call, value) == (error, message) and len(message) < 200
+
+
+# a container holding one int: its refusal at 4,000 digits, and past the
+# interpreter's limit, where ``repr`` of the container raises
+CONTAINERS = {
+    "permutation": (
+        lambda value: Permutation((value,)),
+        "a tuple of 4004 characters is not a permutation of 1..1",
+        "a tuple holding a number past the interpreter's limit on digits"
+        " is not a permutation of 1..1",
+    ),
+    "exponent": (
+        lambda value: MultiPoly({(value, 0, 0, 0): 1}),
+        "exponent tuple of 4012 characters has an exponent >= 8388608",
+        "exponent tuple holding a number past the interpreter's limit on digits"
+        " has an exponent >= 8388608",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", CONTAINERS)
+def test_a_container_holding_a_huge_int_is_refused_by_that_fact(site):
+    call, message, huge_message = CONTAINERS[site]
+    assert refusal(call, 10**4000) == (ValueError, message)
+    assert refusal(call, 10**5000) == (ValueError, huge_message) and len(huge_message) < 200
 
 
 def test_digits_counts_past_the_repr_limit():

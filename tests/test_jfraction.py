@@ -82,13 +82,13 @@ def unpacked_widths(monkeypatch):
     """The slot width of every packed DP state that ``expand`` unpacks: empty
     when it runs the plain DP."""
     widths = []
-    unpack = MultiPoly.unpack_q
+    unpack = jfraction._unpack_q
 
     def spy(poly, width):
         widths.append(width)
         return unpack(poly, width)
 
-    monkeypatch.setattr(MultiPoly, "unpack_q", spy)
+    monkeypatch.setattr(jfraction, "_unpack_q", spy)
     return widths
 
 

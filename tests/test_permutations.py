@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from permotzkin.errors import ParseError, SizeLimitError
 from permotzkin.permutations import (
     Permutation,
+    _fold_values_left,
+    _pack,
     depth_via_factorization,
     image_stats,
     iter_derangements,
@@ -272,3 +274,30 @@ def test_parsed_permutations_are_like_the_constructors(images):
     assert perm == built and hash(perm) == hash(built) and repr(perm) == repr(built)
     with pytest.raises(dataclasses.FrozenInstanceError):
         perm.images = ()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_the_subset_fold_combines_each_set_once_from_its_parts_in_value_order(n):
+    calls = []  # the parts of each combine call; the block it returns is its index
+
+    def combine(parts):
+        calls.append(parts)
+        return len(calls) - 1
+
+    top = _fold_values_left(n, -1, combine)  # -1 is the block of the empty set
+    assert len(calls) == 2**n - 1
+    # Name each block by its set from the top down: the block of R - {v} in
+    # R's parts, which must then be the one every other superset sees.
+    sets = {-1: frozenset(), top: frozenset(range(1, n + 1))}
+    for block in reversed(range(len(calls))):  # a set's call comes after its subsets'
+        parts, values = calls[block], sorted(sets[block])
+        position = n - len(values) + 1
+        steps = [
+            _pack((smaller, v == position, v > position, max(v - position, 0)))
+            for smaller, v in enumerate(values)
+        ]
+        assert [step for step, _ in parts] == steps
+        subsets = [sets[block] - {v} for v in values]
+        named = [sets.setdefault(part, subset) for (_, part), subset in zip(parts, subsets)]
+        assert named == subsets
+    assert len(set(sets.values())) == len(sets) == 2**n

@@ -17,7 +17,8 @@ from permotzkin import algebra, identities, motzkin, permutations
 # MultiPoly({e: 1}), variable(name) is Q, P, S or T, and poly.coefficient(m)
 # is poly.terms().get(m, 0).  Permutation.identity(n) is
 # Permutation(tuple(range(1, n + 1))); inverse and is_alternating, which only
-# the tests called, are test oracles in tests/oracles.py.
+# the tests called, are test oracles in tests/oracles.py.  unpack_q, which
+# only expand's DP calls, is algebra._unpack_q.
 REMOVED = {
     permutations: (
         "four_stats", "inv_count", "fix_count", "exc_count", "depth", "is_alternating"
@@ -33,6 +34,7 @@ REMOVED = {
         "monomial",
         "variable",
         "coefficient",
+        "unpack_q",
     ),
     algebra: ("binomial",),
     motzkin: ("WeightedStep",),
