@@ -114,18 +114,6 @@ class MultiPoly:
         """A copy of the term map (monomial -> coefficient)."""
         return {_unpack(key): coeff for key, coeff in self._terms.items()}
 
-    def constant_value(self) -> int:
-        """The value of a constant polynomial.
-
-        >>> (q_integer(3).substitute({"q": 2})).constant_value()
-        7
-        """
-        if not self._terms:
-            return 0
-        if set(self._terms) != {0}:
-            raise ValueError(f"{self} is not constant")
-        return self._terms[0]
-
     def split_by_exponent(self, name: str) -> dict[int, "MultiPoly"]:
         """Group terms by the exponent of one variable, removing it.
 

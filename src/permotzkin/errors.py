@@ -42,12 +42,13 @@ LIMITS: dict[str, Limit] = {
     "refined-expansion": Limit(22, "expansion is", "order"),
     # brute_force_gf: n = 12/13 take 1.1/3.7 s and 53/129 MB (1.4-1.9/7.0 s on a slow guest)
     "brute-force": Limit(12, "brute force is"),
-    # sign_imbalance_depth and _exc: one brute_force_gf(n) and a substitution
-    "sign-imbalance": Limit(12, "sign imbalance is"),
+    # sign_imbalance_depth and _exc: one signed count per set of values, CLI: n = 18/19
+    # take 1.3-1.4/3.1-4.1 s and 71/127 MB (n = 12 took 0.96 s and 54 MB as brute_force_gf)
+    "sign-imbalance": Limit(18, "sign imbalance is"),
     # _pairing(n) with the permutations._stats_by_rank(n) it reads, 2 x 161 KB at
     # n = 8 and 2 x 1.4 MB at 9: 0.04 s at 8, 0.35-0.38 s at 9, ~10x at 10 (slow guest)
     "involution": Limit(9, "involution tables are"),
-    # euler_numbers, which words its refusal in entries: E_0 .. E_50 take 0.2 ms
+    # euler_numbers(limit), E_0 .. E_limit: limit = 50 takes 0.2 ms
     "euler": Limit(50, "Euler table is", "limit"),
     # derangement_series_rhs: order 30 takes 0.035 s
     "series-assembly": Limit(30, "series assembly is", "order"),

@@ -1,11 +1,12 @@
 """Euler numbers, sign imbalances, and a parity-reversing involution on S_n.
 
 ``sign_imbalance_depth`` and ``sign_imbalance_exc`` evaluate the signed sums
-sum (-1)^depth and sum (-1)^exc over S_n by substituting into the joint
-distribution ``jfraction.brute_force_gf``.  Both vanish
+sum (-1)^depth and sum (-1)^exc over S_n as one integer per set of values,
+folded by ``permutations._signed_count`` over the subset DP that also tallies
+``jfraction.brute_force_gf``, without building that polynomial.  Both vanish
 for even n; for odd n they equal E_n and (-1)^((n-1)/2) E_n respectively,
 where E_n are the Euler (secant/tangent) numbers computed here by the
-boustrophedon recurrence.
+boustrophedon recurrence, which shares no code with the fold.
 
 ``parity_reversing_involution`` realizes the cancellation behind those
 identities as an explicit involution.  Permutations are partners only when
@@ -46,9 +47,8 @@ from collections import defaultdict
 from functools import lru_cache, partial
 
 from . import permutations
-from .errors import LIMITS, SizeLimitError, _echo, check_size
-from .jfraction import brute_force_gf
-from .permutations import _TRIPLE, _UNIT, Permutation
+from .errors import check_size
+from .permutations import _TRIPLE, _UNIT, Permutation, _pack
 
 
 def euler_numbers(limit: int) -> tuple[int, ...]:
@@ -58,11 +58,7 @@ def euler_numbers(limit: int) -> tuple[int, ...]:
     >>> euler_numbers(8)
     (1, 1, 1, 2, 5, 16, 61, 272, 1385)
     """
-    bound, what, name = LIMITS["euler"]
-    if limit < 0:
-        raise ValueError(f"{name} must be non-negative, got {_echo(limit, 'a number')}")
-    if limit > bound:
-        raise SizeLimitError(f"{what} limited to {bound} entries")
+    check_size(limit, "euler")
     values = [1]
     row = [1]
     for n in range(1, limit + 1):
@@ -77,13 +73,13 @@ def euler_numbers(limit: int) -> tuple[int, ...]:
 def sign_imbalance_depth(n: int) -> int:
     """sum over S_n of (-1)^depth: E_n for odd n, 0 for even n."""
     check_size(n, "sign-imbalance")
-    return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": 1, "t": -1}).constant_value()
+    return permutations._signed_count(n, _pack((0, 0, 0, 1)))
 
 
 def sign_imbalance_exc(n: int) -> int:
     """sum over S_n of (-1)^exc: (-1)^((n-1)/2) E_n for odd n, 0 for even n."""
     check_size(n, "sign-imbalance")
-    return brute_force_gf(n).substitute({"q": 1, "p": 1, "s": -1, "t": 1}).constant_value()
+    return permutations._signed_count(n, _pack((0, 0, 1, 0)))
 
 
 def _rank(images: tuple[int, ...]) -> int:

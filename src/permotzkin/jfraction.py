@@ -45,8 +45,10 @@ Two coefficient presets are built in:
 
 ``brute_force_gf`` recomputes the refined series coefficient without any
 Motzkin structure, by a dynamic program over the set of values still to
-place, and serves as the independent oracle for ``expand``.  Every other
-signed or specialised sum over S_n in the package is a substitution into it.
+place, and serves as the independent oracle for ``expand``.  The signed and
+specialised polynomials over S_n (``brute_force_depth_gf`` and the signed
+sums of ``identities``) are substitutions into it; the two sign imbalances,
+which are integers, fold the same DP directly (``involution``).
 """
 
 from __future__ import annotations

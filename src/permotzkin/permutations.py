@@ -20,8 +20,9 @@ Text format: space-separated images, e.g. ``"3 2 1"``, each ASCII digits
 with an optional sign (``[+-]?[0-9]+``; ``1_0`` and other digits are not
 integers); the empty string is the unique permutation of n = 0.
 ``iter_group`` streams S_n and ``iter_derangements`` filters it.
-``_stats_by_rank`` and ``jfraction.brute_force_gf`` hold the statistics of
-all of S_n, both folded by ``_fold_values_left`` over sets of values, not S_n.
+``_stats_by_rank``, ``jfraction.brute_force_gf`` and ``_signed_count`` hold
+the statistics of all of S_n, or one signed count of them, each folded by
+``_fold_values_left`` over sets of values, not S_n.
 """
 
 from __future__ import annotations
@@ -156,6 +157,17 @@ def _concatenate(parts: list[tuple[int, array]]) -> array:
     """Each block raised by its step, one after another."""
     raised = (map(step.__add__, block) for step, block in parts)
     return array("I", itertools.chain.from_iterable(raised))
+
+
+def _signed_count(n: int, field: int) -> int:
+    """sum over S_n of (-1)^stat, stat the field whose lowest bit ``field`` is.
+
+    Each block is one signed count, negated where its step adds an odd stat.
+
+    >>> _signed_count(3, _pack((0, 0, 0, 1))), _signed_count(3, _pack((0, 0, 1, 0)))
+    (2, -2)
+    """
+    return _fold_values_left(n, 1, lambda parts: sum(-b if s & field else b for s, b in parts))
 
 
 @lru_cache(maxsize=None)

@@ -160,13 +160,6 @@ def test_rendering_canonical_order():
     assert str(-(S * T)) == "-s*t"
 
 
-def test_constant_value():
-    assert MultiPoly.constant(7).constant_value() == 7
-    assert MultiPoly().constant_value() == 0
-    with pytest.raises(ValueError):
-        (Q + 1).constant_value()
-
-
 def test_split_by_exponent_layers():
     poly = S * T + 3 * S**2 * T - T**2
     layers = poly.split_by_exponent("t")

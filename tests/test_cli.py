@@ -466,6 +466,12 @@ def test_imbalance(capsys):
     assert json.loads(out) == [{"stat": "exc", "n": 3, "value": -2}]
 
 
+@pytest.mark.parametrize("stat", ["depth", "exc"])
+def test_imbalance_past_the_brute_force_bound(capsys, stat):
+    # E_17; (-1)^((17 - 1)/2) = 1, so exc agrees with depth
+    assert run(capsys, "imbalance", "--stat", stat, "--n", "17") == (0, "209865342976\n", "")
+
+
 def test_involution_command(capsys):
     code, out, _ = run(capsys, "involution", "--perm", "1 2", "--format", "json")
     assert code == 0

@@ -58,15 +58,15 @@ GUARDS = {
     ),
     "sign_imbalance_depth-neg": (lambda: involution.sign_imbalance_depth(-1), *NEGATIVE_N),
     "sign_imbalance_depth-over": (
-        lambda: involution.sign_imbalance_depth(13),
+        lambda: involution.sign_imbalance_depth(19),
         SizeLimitError,
-        "sign imbalance is limited to n <= 12",
+        "sign imbalance is limited to n <= 18",
     ),
     "sign_imbalance_exc-neg": (lambda: involution.sign_imbalance_exc(-1), *NEGATIVE_N),
     "sign_imbalance_exc-over": (
-        lambda: involution.sign_imbalance_exc(13),
+        lambda: involution.sign_imbalance_exc(19),
         SizeLimitError,
-        "sign imbalance is limited to n <= 12",
+        "sign imbalance is limited to n <= 18",
     ),
     "parity_reversing_involution-over": (
         lambda: involution.parity_reversing_involution(Permutation(tuple(range(1, 11)))),
@@ -81,7 +81,7 @@ GUARDS = {
     "euler_numbers-over": (
         lambda: involution.euler_numbers(51),
         SizeLimitError,
-        "Euler table is limited to 50 entries",
+        "Euler table is limited to limit <= 50",
     ),
     "derangement_series_rhs-neg": (
         lambda: identities.derangement_series_rhs(-1),
@@ -117,10 +117,7 @@ def test_size_guard_type_and_message(guard):
 def refusal_at_bound_plus_one(key):
     """The message with which entry ``key`` refuses its bound + 1, having
     accepted the bound itself."""
-    if key == "euler":  # the one guard that words its own refusal
-        guard = involution.euler_numbers
-    else:
-        guard = functools.partial(check_size, limit=key)
+    guard = functools.partial(check_size, limit=key)
     bound = LIMITS[key].bound
     guard(bound)
     with pytest.raises(SizeLimitError) as info:
@@ -144,7 +141,7 @@ CLI_GUARDS = {
     ("expand", "--preset", "depth", "--order", "31"): "expansion is limited to order <= 30",
     ("expand", "--preset", "depth", "--order", "-1"): NEGATIVE_ORDER[1],
     ("expand", "--preset", "refined", "--order", "23"): "expansion is limited to order <= 22",
-    ("imbalance", "--stat", "depth", "--n", "13"): "sign imbalance is limited to n <= 12",
+    ("imbalance", "--stat", "depth", "--n", "19"): "sign imbalance is limited to n <= 18",
     ("imbalance", "--stat", "exc", "--n", "-1"): NEGATIVE_N[1],
     ("involution", "--perm", "1 2 3 4 5 6 7 8 9 10"): "involution tables are limited to n <= 9",
 }

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permotzkin import involution, permutations
+from permotzkin import involution, jfraction, permutations
 from permotzkin.errors import SizeLimitError
 from permotzkin.involution import (
     euler_numbers,
@@ -55,7 +55,35 @@ def test_sign_imbalance_exc_values(n, expected):
 
 def test_sign_imbalance_guard():
     with pytest.raises(SizeLimitError):
-        sign_imbalance_depth(13)
+        sign_imbalance_depth(19)
+
+
+def euler_imbalances(n):
+    """(sum (-1)^depth, sum (-1)^exc) over S_n, n >= 1, as the paper states them."""
+    euler = euler_numbers(n)[n] if n % 2 else 0
+    return euler, (-1) ** ((n - 1) // 2) * euler
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_sign_imbalances_match_a_walk_over_s_n(n):
+    # image_stats over iter_group shares no code with the subset fold
+    stats = [image_stats(perm.images) for perm in iter_group(n)]
+    assert sign_imbalance_depth(n) == sum((-1) ** depth for *_, depth in stats)
+    assert sign_imbalance_exc(n) == sum((-1) ** exc for _, _, exc, _ in stats)
+
+
+@pytest.mark.parametrize("n", [13, 16, 17])
+def test_sign_imbalances_past_the_brute_force_bound(n):
+    assert (sign_imbalance_depth(n), sign_imbalance_exc(n)) == euler_imbalances(n)
+
+
+def test_sign_imbalances_do_not_build_the_polynomial(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"brute_force_gf({n}) was built")
+
+    monkeypatch.setattr(jfraction, "_brute_force_gf", refuse)
+    for n in range(1, 13):
+        assert (sign_imbalance_depth(n), sign_imbalance_exc(n)) == euler_imbalances(n)
 
 
 def test_involution_on_singleton():

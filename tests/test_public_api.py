@@ -35,6 +35,7 @@ REMOVED = {
         "variable",
         "coefficient",
         "unpack_q",
+        "constant_value",
     ),
     algebra: ("binomial",),
     motzkin: ("WeightedStep",),
