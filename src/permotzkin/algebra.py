@@ -32,7 +32,7 @@ import struct
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import _echo
 
@@ -295,6 +295,29 @@ def _monomial_text(key: int) -> str:
     return "*".join(parts)
 
 
+def _slots(packed: int, width: int) -> tuple[int, Sequence[int]]:
+    """The signed ``width``-bit slots of one packed (p, s, t) class.
+
+    Returns the q-exponent of the lowest non-empty slot and the slots from
+    there up, lowest first; the top one is never empty.  ``packed`` is the
+    nonzero integer that ``substitute({"q": 1 << width})`` makes of the
+    class, whose coefficients are below 2^(width - 1) in absolute value.
+    """
+    size = width // 8  # bytes per slot
+    zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
+    packed >>= zeros * width
+    count = packed.bit_length() // width + 1
+    # Adding half to each slot carries every borrow out of the packed
+    # integer; XOR with half then leaves each slot in two's complement.
+    bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * count, "little")
+    raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
+    if size == 8:
+        return zeros, struct.unpack(f"<{count}q", raw)
+    return zeros, [
+        int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)
+    ]
+
+
 def _unpack_q(poly: MultiPoly, width: int) -> MultiPoly:
     """The polynomial f with ``f.substitute({"q": 1 << width}) == poly``.
 
@@ -311,29 +334,58 @@ def _unpack_q(poly: MultiPoly, width: int) -> MultiPoly:
     >>> _unpack_q(f.substitute({"q": 1 << 128}), 128) == f
     True
     """
-    size = width // 8  # bytes per slot
-    # Adding half to each slot carries every borrow out of the packed
-    # integer; XOR with half then leaves each slot in two's complement.
-    half_slot = (1 << (width - 1)).to_bytes(size, "little")
     terms: dict[int, int] = {}
     for low, packed in poly._terms.items():
-        zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
-        packed >>= zeros * width
-        count = packed.bit_length() // width + 1
-        bias = int.from_bytes(half_slot * count, "little")
-        raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
-        if size == 8:
-            slots = struct.unpack(f"<{count}q", raw)
-        else:
-            slots = [
-                int.from_bytes(raw[i : i + size], "little", signed=True)
-                for i in range(0, len(raw), size)
-            ]
-        keys = range(zeros << _SHIFT_Q | low, (zeros + count) << _SHIFT_Q, 1 << _SHIFT_Q)
+        zeros, slots = _slots(packed, width)
+        keys = range(zeros << _SHIFT_Q | low, (zeros + len(slots)) << _SHIFT_Q, 1 << _SHIFT_Q)
         terms.update(compress(zip(keys, slots), slots))
     if terms and (max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
         raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
     return _wrap(terms)
+
+
+def _unpack_q_text(poly: MultiPoly, width: int) -> str:
+    """``str(_unpack_q(poly, width))``, rendered without the unpacked term map.
+
+    ``__str__`` lists terms by descending key: by descending q-exponent, and
+    within one by descending (p, s, t) class.  So the classes are decoded in
+    descending order, the parts of each slot's term text go to the bucket of
+    its q-exponent, and each bucket is joined and dropped from the top.  No
+    text is cached beyond the call.
+
+    >>> f = -(2**100) * Q**3 * P + 7 * Q * P * S - Q**2 * T - 1 + Q * S
+    >>> _unpack_q_text(f.substitute({"q": 1 << 128}), 128) == str(f)
+    True
+    """
+    buckets: list[list[str]] = []  # eq -> its terms' text parts: " - ", "3*", "q^eq", "*p*s"
+    q_texts = ["", "q"]  # eq -> "q^eq"
+    for low in sorted(poly._terms, reverse=True):
+        zeros, slots = _slots(poly._terms[low], width)
+        top = zeros + len(slots)
+        if top > EXPONENT_LIMIT or low & _GUARDS:
+            raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
+        while len(buckets) < top:
+            buckets.append([])
+        while len(q_texts) < top:
+            q_texts.append(f"q^{len(q_texts)}")
+        rest = _monomial_text(low)
+        tail = f"*{rest}" if rest else ""
+        for eq, coeff in compress(enumerate(slots, zeros), slots):
+            sign = " - " if coeff < 0 else " + "
+            size = abs(coeff)
+            if eq:
+                buckets[eq] += sign, f"{size}*" if size != 1 else "", q_texts[eq], tail
+            elif rest:
+                buckets[0] += sign, f"{size}*" if size != 1 else "", rest
+            else:  # the constant term
+                buckets[0] += sign, str(size)
+    if not buckets:
+        return "0"
+    buckets[-1][0] = "" if buckets[-1][0] == " + " else "-"  # the leading term's sign
+    texts = []
+    while buckets:  # one bucket's parts at a time, so they are never all in one list
+        texts.append("".join(buckets.pop()))
+    return "".join(texts)
 
 
 Q = MultiPoly({(1, 0, 0, 0): 1})

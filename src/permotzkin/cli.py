@@ -15,6 +15,7 @@ import json
 import sys
 
 from . import verify as verify_mod
+from .algebra import _unpack_q_text
 from .bijection import decode as decode_path
 from .bijection import encode as encode_perm
 from .errors import ECHO_LIMIT, ParseError, _echo
@@ -93,8 +94,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     spec = preset_depth() if args.preset == "depth" else preset_refined()
-    # Each coefficient is dropped once rendered, so only one is held unpacked.
-    rows = [{"n": n, "coefficient": str(c)} for n, c in enumerate(_series(spec, args.order))]
+    rows = [
+        {"n": n, "coefficient": _unpack_q_text(poly, width) if width else str(poly)}
+        for n, (poly, width) in enumerate(_series(spec, args.order))
+    ]
     print(_emit_table(rows, args.format))
     return 0
 

@@ -36,9 +36,9 @@ LIMITS: dict[str, Limit] = {
     "path-enumeration": Limit(10, "path enumeration is"),
     # expand of preset_depth and of custom specs: preset_depth to 30 takes 0.02 s
     "expansion": Limit(30, "expansion is", "order"),
-    # expand of preset_refined, CLI, JSON, one coefficient held at a time: order 20/22 take
-    # 4.9/18.6 s and 141/281 MB on a guest where brute_force_gf(12) took 1.8 s (2.2/8.0 s
-    # on a usual day); order 24 took ~30 s and ~900 MB when the CLI held the whole series
+    # expand of preset_refined, CLI, text or JSON, each coefficient rendered from the packed
+    # DP state: order 20/22 take 1.5-1.6/6.9-9.3 s and 113/246 MB (brute_force_gf(12) took
+    # 0.97 s that day); order 24 took ~30 s and ~900 MB when the CLI held the whole series
     "refined-expansion": Limit(22, "expansion is", "order"),
     # brute_force_gf: n = 12/13 take 1.1/3.7 s and 53/129 MB (1.4-1.9/7.0 s on a slow guest)
     "brute-force": Limit(12, "brute force is"),
@@ -48,8 +48,9 @@ LIMITS: dict[str, Limit] = {
     # _pairing(n) with the permutations._stats_by_rank(n) it reads, 2 x 161 KB at
     # n = 8 and 2 x 1.4 MB at 9: 0.04 s at 8, 0.35-0.38 s at 9, ~10x at 10 (slow guest)
     "involution": Limit(9, "involution tables are"),
-    # euler_numbers(limit), E_0 .. E_limit: limit = 50 takes 0.2 ms
-    "euler": Limit(50, "Euler table is", "limit"),
+    # euler_numbers(limit), E_0 .. E_limit: limit = 500/1000/2000 take 0.014-0.016/
+    # 0.11-0.12/0.9-1.3 s, about 8x per doubling
+    "euler": Limit(1000, "Euler table is", "limit"),
     # derangement_series_rhs: order 30 takes 0.035 s
     "series-assembly": Limit(30, "series assembly is", "order"),
     # verify --max-n 9, CLI: 0.69-0.87 s and 18 MB (brute_force_gf(12) took 1.2 s that day)

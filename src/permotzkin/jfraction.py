@@ -20,12 +20,14 @@ every coefficient is exactly the full path sum.  Each spec carries its own
 The DP packs q (Kronecker substitution): it runs on gamma_h and lambda_h
 with q = 2^w substituted, so each state holds one integer per (p, s, t)
 class, and a product costs one C-level integer multiplication per pair of
-classes instead of one dict update per pair of terms.  Each z^n coefficient
-is unpacked with ``algebra._unpack_q`` as the DP reaches it: ``_series``
-yields the coefficients one at a time and ``expand`` collects them.  The CLI
-renders each one and drops it, so it holds one unpacked coefficient at a
-time: ``expand --preset refined`` peaks at 141 MB at order 20 and 281 MB at
-order 22 (2-vCPU guest, stdout to /dev/null).  A scalar run of the same DP
+classes instead of one dict update per pair of terms.  ``_series`` yields
+each z^n coefficient's packed state as the DP reaches it, and ``expand``
+unpacks each with ``algebra._unpack_q``.  The CLI never unpacks: it renders
+each coefficient's text straight from the packed state with
+``algebra._unpack_q_text`` and drops the state, so ``expand --preset
+refined`` peaks at 113 MB at order 20 and 246 MB at order 22 (2-vCPU guest,
+stdout to a pipe), against 141 and 281 MB when it unpacked each coefficient
+and rendered it with ``str``.  A scalar run of the same DP
 first bounds every coefficient and q-degree, which fixes w in whole 64-bit
 words and the slot count.  A packed product costs in proportion to the
 width of its classes however few terms they hold, so three kinds of spec
@@ -93,15 +95,18 @@ def expand(spec: JFractionSpec, order: int) -> tuple[MultiPoly, ...]:
     within ``PACKED_WORDS_LIMIT``, and on plain ones otherwise; the
     coefficients are the same either way.
     """
-    return tuple(_series(spec, order))
+    return tuple(_unpack_q(poly, width) if width else poly for poly, width in _series(spec, order))
 
 
-def _series(spec: JFractionSpec, order: int) -> Iterator[MultiPoly]:
-    """``expand``'s coefficients one at a time, z^n unpacked when the DP reaches it.
+def _series(spec: JFractionSpec, order: int) -> Iterator[tuple[MultiPoly, int | None]]:
+    """The DP's state at height 0, z^n's coefficient, one n at a time as the
+    DP reaches it, with the slot width it is packed in, or ``None`` when it
+    is not packed: at n = 0, and at every n when the DP runs plain.
 
-    A caller that drops each coefficient once used holds only one unpacked
-    coefficient beside the DP's packed state.  Its refusals raise at the
-    first ``next``, before any coefficient is yielded.
+    ``expand`` unpacks each with ``_unpack_q``.  The CLI renders each
+    straight from the packed state with ``_unpack_q_text`` and drops it, so
+    it never holds an unpacked coefficient.  Refusals raise at the first
+    ``next``, before any coefficient is yielded.
     """
     check_size(order, "expansion", spec.max_order)
     max_height = order // 2
@@ -113,9 +118,9 @@ def _series(spec: JFractionSpec, order: int) -> Iterator[MultiPoly]:
         gamma = [poly.substitute(packing) for poly in gamma]
         lam = [poly.substitute(packing) for poly in lam]
 
-    yield MultiPoly.constant(1)
+    yield MultiPoly.constant(1), None
     for state in _steps(MultiPoly.constant(1), gamma, lam, order, MultiPoly.sum_of_products):
-        yield _unpack_q(state[0], width) if width else state[0]
+        yield state[0], width
 
 
 def _steps(start, gamma, lam, order, combine):

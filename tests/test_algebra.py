@@ -2,7 +2,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from permotzkin.algebra import (
@@ -14,6 +14,8 @@ from permotzkin.algebra import (
     S,
     T,
     _unpack_q,
+    _unpack_q_text,
+    _wrap,
     q_integer,
 )
 from permotzkin.permutations import image_stats, iter_group
@@ -374,3 +376,33 @@ def test_unpack_q_reads_multi_word_slots_of_both_signs():
     poly = 2**100 * Q**3 * S - (2**100 - 1) * Q * S + 7 - 3 * Q**9 * P
     width = 192
     assert _unpack_q(poly.substitute({"q": 1 << width}), width) == poly
+
+
+def renderable(width):
+    """A term map whose coefficients fit the slots of ``width`` bits, with
+    q-free classes and the class with no p, s or t among its keys."""
+    top = 2 ** (width - 1) - 1
+    coeffs = st.sampled_from([1, -1]) | st.integers(-5, 5) | st.integers(-top, top)
+    keys = st.tuples(st.integers(0, 40), *[st.integers(0, 2)] * 3)
+    return st.dictionaries(keys, coeffs, max_size=12)
+
+
+@given(st.sampled_from([64, 128]).flatmap(lambda w: st.tuples(st.just(w), renderable(w))))
+@example((64, {}))
+@example((64, {(0, 0, 0, 0): -1, (3, 0, 0, 0): 1, (0, 0, 1, 0): -1, (0, 1, 0, 2): 5}))
+@example((64, {(0, 0, 0, 0): 1, (1, 0, 0, 0): -1, (2, 1, 1, 1): 2**63 - 1}))
+@example((128, {(0, 0, 0, 0): 2**64, (5, 0, 0, 0): -(2**100), (1, 2, 0, 1): -(2**63)}))
+@example((128, {(0, 0, 0, 0): -(2**127 - 1), (40, 2, 2, 2): 2**126, (7, 0, 2, 0): -1}))
+def test_unpack_q_text_is_the_text_of_the_unpacked_polynomial(case):
+    width, terms = case
+    poly = MultiPoly(terms)
+    assert _unpack_q_text(poly.substitute({"q": 1 << width}), width) == str(poly)
+
+
+def test_unpack_q_text_refuses_what_unpack_q_refuses():
+    # the key of t^EXPONENT_LIMIT, which sets the t field's guard bit: no
+    # public constructor makes one
+    packed = _wrap({EXPONENT_LIMIT: 1, 1: 1})
+    for unpack in (_unpack_q, _unpack_q_text):
+        with pytest.raises(ValueError, match="does not fit below"):
+            unpack(packed, 64)

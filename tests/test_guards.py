@@ -79,9 +79,9 @@ GUARDS = {
         "limit must be non-negative, got -1",
     ),
     "euler_numbers-over": (
-        lambda: involution.euler_numbers(51),
+        lambda: involution.euler_numbers(1001),
         SizeLimitError,
-        "Euler table is limited to limit <= 50",
+        "Euler table is limited to limit <= 1000",
     ),
     "derangement_series_rhs-neg": (
         lambda: identities.derangement_series_rhs(-1),

@@ -39,8 +39,8 @@ def test_euler_numbers_count_alternating_permutations():
 
 
 def test_euler_guard():
-    with pytest.raises(SizeLimitError):
-        euler_numbers(51)
+    with pytest.raises(SizeLimitError, match="limit <= 1000"):
+        euler_numbers(1001)
 
 
 @pytest.mark.parametrize("n, expected", [(1, 1), (2, 0), (3, 2), (4, 0), (7, 272)])

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from permotzkin import jfraction
+from permotzkin import algebra, cli, jfraction
 from permotzkin.algebra import EXPONENT_LIMIT, MultiPoly, P, Q, S, T, q_integer
 from permotzkin.errors import LIMITS, SizeLimitError
 from permotzkin.identities import derangement_series_rhs
@@ -79,8 +79,8 @@ def test_expansion_head_is_generic():
 
 @pytest.fixture
 def unpacked_widths(monkeypatch):
-    """The slot width of every packed DP state that ``expand`` unpacks: empty
-    when it runs the plain DP."""
+    """The slot width of every packed DP state that ``expand``, or anything
+    else, unpacks: empty when the DP runs plain."""
     widths = []
     unpack = jfraction._unpack_q
 
@@ -89,6 +89,7 @@ def unpacked_widths(monkeypatch):
         return unpack(poly, width)
 
     monkeypatch.setattr(jfraction, "_unpack_q", spy)
+    monkeypatch.setattr(algebra, "_unpack_q", spy)
     return widths
 
 
@@ -282,13 +283,36 @@ def test_truncation_is_monotone():
         assert short[n] == long[n]
 
 
-def test_the_series_unpacks_each_coefficient_only_when_it_is_taken(unpacked_widths):
+def test_the_series_unpacks_each_coefficient_only_when_it_is_taken(monkeypatch, unpacked_widths):
     full = expand(preset_refined(), 14)
+    steps = jfraction._steps
+    packed_steps = []
+
+    def counting_steps(*args):
+        for state in steps(*args):
+            packed_steps.append(isinstance(state[0], MultiPoly))  # not _slot_width's scalar run
+            yield state
+
+    monkeypatch.setattr(jfraction, "_steps", counting_steps)
     for k in (1, 2, 8, 15):
         unpacked_widths.clear()
+        packed_steps.clear()
         head = tuple(itertools.islice(jfraction._series(preset_refined(), 14), k))
-        assert head == full[:k]
-        assert len(unpacked_widths) <= k - 1
+        # the series yields packed states, and runs the DP only as far as taken
+        assert unpacked_widths == []
+        assert sum(packed_steps) == k - 1
+        assert [width for _, width in head] == [None] + [64] * (k - 1)
+        assert tuple(jfraction._unpack_q(p, w) if w else p for p, w in head) == full[:k]
+        assert unpacked_widths == [64] * (k - 1)
+
+
+def test_the_cli_renders_refined_coefficients_without_unpacking(capsys, unpacked_widths):
+    assert cli.main(["expand", "--preset", "refined", "--order", "14"]) == 0
+    assert unpacked_widths == []
+    rows = capsys.readouterr().out.splitlines()
+    series = expand(preset_refined(), 14)
+    assert rows == [f"n={n}  coefficient={coeff}" for n, coeff in enumerate(series)]
+    assert len(unpacked_widths) == 14  # the spy sees expand's unpacking
 
 
 def test_expand_guard():
