@@ -16,7 +16,9 @@ are never mutated after construction; all operations return fresh
 polynomials and are safe to share across threads or enumeration workers.
 
 Serialization lists terms in descending lexicographic exponent order, which
-is descending packed-key order:
+is descending packed-key order.  ``str`` and the CLI's packed path share
+one text builder, ``_text``; ``_unpack_q`` and that path share one decoder
+of packed q-polynomials, ``_classes``, which holds their exponent check:
 
 >>> str((1 - S * T) ** 2)
 's^2*t^2 - 2*s*t + 1'
@@ -32,7 +34,7 @@ import struct
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import _echo
 
@@ -51,7 +53,6 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 _SHIFT_Q, _SHIFT_P, _SHIFT_S, _SHIFT_T = _SHIFTS = tuple(
     FIELD_BITS * i for i in reversed(range(len(VARIABLES)))
 )
-_KEY_LIMIT = 1 << (FIELD_BITS * len(VARIABLES))
 _GUARDS = sum(EXPONENT_LIMIT << shift for shift in _SHIFTS)
 _LOW_FIELDS = (1 << _SHIFT_Q) - 1  # the p, s and t fields of a key
 
@@ -263,24 +264,13 @@ class MultiPoly:
 
     def __str__(self) -> str:
         terms = self._terms
-        if not terms:
-            return "0"
-        q_texts: dict[int, str] = {}  # eq -> "q^eq"
-        low_texts: dict[int, str] = {}  # the p, s and t fields -> "p^ep*s^es*t^et"
-        chunks = []
-        for key in sorted(terms, reverse=True):
-            q = q_texts.get(eq := key >> _SHIFT_Q)
-            if q is None:
-                q = q_texts[eq] = _monomial_text(eq << _SHIFT_Q)
-            rest = low_texts.get(low := key & _LOW_FIELDS)
-            if rest is None:
-                rest = low_texts[low] = _monomial_text(low)
-            mono = f"{q}*{rest}" if q and rest else q or rest
-            coeff = terms[key]
-            body = f"{abs(coeff)}*{mono}" if abs(coeff) != 1 and mono else mono or str(abs(coeff))
-            chunks.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        text = " ".join(chunks)
-        return text[2:] if text[0] == "+" else f"-{text[2:]}"
+        classes: dict[int, list[int]] = {}  # the p, s and t fields -> their keys
+        for key in terms:
+            classes.setdefault(key & _LOW_FIELDS, []).append(key)
+        return _text(
+            (low, ((key >> _SHIFT_Q, terms[key]) for key in keys))
+            for low, keys in sorted(classes.items(), reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"MultiPoly('{self}')"
@@ -295,27 +285,35 @@ def _monomial_text(key: int) -> str:
     return "*".join(parts)
 
 
-def _slots(packed: int, width: int) -> tuple[int, Sequence[int]]:
-    """The signed ``width``-bit slots of one packed (p, s, t) class.
+def _classes(poly: MultiPoly, width: int) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
+    """Each (p, s, t) class of a packed polynomial with its nonzero terms.
 
-    Returns the q-exponent of the lowest non-empty slot and the slots from
-    there up, lowest first; the top one is never empty.  ``packed`` is the
-    nonzero integer that ``substitute({"q": 1 << width})`` makes of the
-    class, whose coefficients are below 2^(width - 1) in absolute value.
+    ``poly`` is what ``substitute({"q": 1 << width})`` makes of a polynomial
+    f: one integer per class, with one signed ``width``-bit slot per power of
+    q.  Yields the classes in descending order, each with its (q-exponent,
+    coefficient) terms of f.  Raises ``ValueError`` when an exponent of f
+    reaches ``EXPONENT_LIMIT``.
     """
     size = width // 8  # bytes per slot
-    zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
-    packed >>= zeros * width
-    count = packed.bit_length() // width + 1
-    # Adding half to each slot carries every borrow out of the packed
-    # integer; XOR with half then leaves each slot in two's complement.
-    bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * count, "little")
-    raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
-    if size == 8:
-        return zeros, struct.unpack(f"<{count}q", raw)
-    return zeros, [
-        int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)
-    ]
+    for low in sorted(poly._terms, reverse=True):
+        packed = poly._terms[low]
+        zeros = ((packed & -packed).bit_length() - 1) // width  # empty low slots
+        packed >>= zeros * width
+        count = packed.bit_length() // width + 1  # the top slot is never empty
+        if zeros + count > EXPONENT_LIMIT or low & _GUARDS:
+            raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
+        # Adding half to each slot carries every borrow out of the packed
+        # integer; XOR with half then leaves each slot in two's complement.
+        bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * count, "little")
+        raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
+        if size == 8:
+            slots = struct.unpack(f"<{count}q", raw)
+        else:
+            slots = [
+                int.from_bytes(raw[i : i + size], "little", signed=True)
+                for i in range(0, len(raw), size)
+            ]
+        yield low, compress(enumerate(slots, zeros), slots)
 
 
 def _unpack_q(poly: MultiPoly, width: int) -> MultiPoly:
@@ -334,58 +332,49 @@ def _unpack_q(poly: MultiPoly, width: int) -> MultiPoly:
     >>> _unpack_q(f.substitute({"q": 1 << 128}), 128) == f
     True
     """
-    terms: dict[int, int] = {}
-    for low, packed in poly._terms.items():
-        zeros, slots = _slots(packed, width)
-        keys = range(zeros << _SHIFT_Q | low, (zeros + len(slots)) << _SHIFT_Q, 1 << _SHIFT_Q)
-        terms.update(compress(zip(keys, slots), slots))
-    if terms and (max(terms) >= _KEY_LIMIT or reduce(or_, terms) & _GUARDS):
-        raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
-    return _wrap(terms)
+    return _wrap(
+        {eq << _SHIFT_Q | low: coeff for low, terms in _classes(poly, width) for eq, coeff in terms}
+    )
 
 
-def _unpack_q_text(poly: MultiPoly, width: int) -> str:
-    """``str(_unpack_q(poly, width))``, rendered without the unpacked term map.
+def _text(classes: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> str:
+    """The text of a polynomial given as its (p, s, t) classes in descending
+    order, each with its (q-exponent, coefficient) terms in any order.
 
-    ``__str__`` lists terms by descending key: by descending q-exponent, and
-    within one by descending (p, s, t) class.  So the classes are decoded in
-    descending order, the parts of each slot's term text go to the bucket of
-    its q-exponent, and each bucket is joined and dropped from the top.  No
-    text is cached beyond the call.
+    Terms are listed by descending key: by descending q-exponent, and within
+    one by descending class.  So the parts of each term's text go to the
+    bucket of its q-exponent, and the buckets are joined and dropped from
+    the top one down.  ``str`` and the CLI's packed path,
+    ``_text(_classes(poly, width))``, both render here.
 
     >>> f = -(2**100) * Q**3 * P + 7 * Q * P * S - Q**2 * T - 1 + Q * S
-    >>> _unpack_q_text(f.substitute({"q": 1 << 128}), 128) == str(f)
-    True
+    >>> _text(_classes(f.substitute({"q": 1 << 128}), 128))
+    '-1267650600228229401496703205376*q^3*p - q^2*t + 7*q*p*s + q*s - 1'
     """
-    buckets: list[list[str]] = []  # eq -> its terms' text parts: " - ", "3*", "q^eq", "*p*s"
-    q_texts = ["", "q"]  # eq -> "q^eq"
-    for low in sorted(poly._terms, reverse=True):
-        zeros, slots = _slots(poly._terms[low], width)
-        top = zeros + len(slots)
-        if top > EXPONENT_LIMIT or low & _GUARDS:
-            raise ValueError(f"an exponent does not fit below {EXPONENT_LIMIT}")
-        while len(buckets) < top:
-            buckets.append([])
-        while len(q_texts) < top:
-            q_texts.append(f"q^{len(q_texts)}")
+    buckets: dict[int, list[str]] = {}  # eq -> its terms' text parts: " - ", "3*", "q^eq", "*p*s"
+    q_texts: dict[int, str] = {}  # eq -> "q^eq"
+    for low, terms in classes:
         rest = _monomial_text(low)
         tail = f"*{rest}" if rest else ""
-        for eq, coeff in compress(enumerate(slots, zeros), slots):
+        for eq, coeff in terms:
+            parts = buckets.get(eq)
+            if parts is None:
+                parts = buckets[eq] = []
+                q_texts[eq] = _monomial_text(eq << _SHIFT_Q)
+            q = q_texts[eq]
             sign = " - " if coeff < 0 else " + "
             size = abs(coeff)
-            if eq:
-                buckets[eq] += sign, f"{size}*" if size != 1 else "", q_texts[eq], tail
-            elif rest:
-                buckets[0] += sign, f"{size}*" if size != 1 else "", rest
+            if q or rest:
+                parts += sign, f"{size}*" if size != 1 else "", q, tail if q else rest
             else:  # the constant term
-                buckets[0] += sign, str(size)
+                parts += sign, str(size)
     if not buckets:
         return "0"
-    buckets[-1][0] = "" if buckets[-1][0] == " + " else "-"  # the leading term's sign
-    texts = []
-    while buckets:  # one bucket's parts at a time, so they are never all in one list
-        texts.append("".join(buckets.pop()))
-    return "".join(texts)
+    order = sorted(buckets, reverse=True)
+    top = buckets[order[0]]
+    top[0] = "" if top[0] == " + " else "-"  # the leading term's sign
+    # one bucket's parts at a time, so they are never all in one list
+    return "".join(["".join(buckets.pop(eq)) for eq in order])
 
 
 Q = MultiPoly({(1, 0, 0, 0): 1})

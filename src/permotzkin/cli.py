@@ -2,8 +2,10 @@
 
 Subcommands: stats, encode, decode, expand, imbalance, involution, verify.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
-1 when a verification check fails, 2 on usage or parse errors.  Output is
-deterministic for fixed inputs and flags (timing fields are opt-in).
+1 when a verification check fails, 2 on usage or parse errors, 141
+(128 + SIGPIPE) when the reader closes stdout early, as ``| head`` does.
+Output is deterministic for fixed inputs and flags (timing fields are
+opt-in).
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import verify as verify_mod
-from .algebra import _unpack_q_text
+from .algebra import _classes, _text
 from .bijection import decode as decode_path
 from .bijection import encode as encode_perm
 from .errors import ECHO_LIMIT, ParseError, _echo
@@ -95,7 +98,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     spec = preset_depth() if args.preset == "depth" else preset_refined()
     rows = [
-        {"n": n, "coefficient": _unpack_q_text(poly, width) if width else str(poly)}
+        {"n": n, "coefficient": _text(_classes(poly, width)) if width else str(poly)}
         for n, (poly, width) in enumerate(_series(spec, args.order))
     ]
     print(_emit_table(rows, args.format))
@@ -237,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # quiet the flush at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -23,8 +23,9 @@ class, and a product costs one C-level integer multiplication per pair of
 classes instead of one dict update per pair of terms.  ``_series`` yields
 each z^n coefficient's packed state as the DP reaches it, and ``expand``
 unpacks each with ``algebra._unpack_q``.  The CLI never unpacks: it renders
-each coefficient's text straight from the packed state with
-``algebra._unpack_q_text`` and drops the state, so ``expand --preset
+each coefficient's text straight from the packed state, running
+``algebra._text``, the builder behind ``str``, over the classes that
+``algebra._classes`` decodes, and drops the state, so ``expand --preset
 refined`` peaks at 113 MB at order 20 and 246 MB at order 22 (2-vCPU guest,
 stdout to a pipe), against 141 and 281 MB when it unpacked each coefficient
 and rendered it with ``str``.  A scalar run of the same DP
@@ -104,8 +105,8 @@ def _series(spec: JFractionSpec, order: int) -> Iterator[tuple[MultiPoly, int | 
     is not packed: at n = 0, and at every n when the DP runs plain.
 
     ``expand`` unpacks each with ``_unpack_q``.  The CLI renders each
-    straight from the packed state with ``_unpack_q_text`` and drops it, so
-    it never holds an unpacked coefficient.  Refusals raise at the first
+    straight from the packed state with ``_text(_classes(...))`` and drops
+    it, so it never holds an unpacked coefficient.  Refusals raise at the first
     ``next``, before any coefficient is yielded.
     """
     check_size(order, "expansion", spec.max_order)

@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -13,8 +14,9 @@ from permotzkin.algebra import (
     Q,
     S,
     T,
+    _classes,
+    _text,
     _unpack_q,
-    _unpack_q_text,
     _wrap,
     q_integer,
 )
@@ -396,13 +398,29 @@ def renderable(width):
 def test_unpack_q_text_is_the_text_of_the_unpacked_polynomial(case):
     width, terms = case
     poly = MultiPoly(terms)
-    assert _unpack_q_text(poly.substitute({"q": 1 << width}), width) == str(poly)
+    text = _text(_classes(poly.substitute({"q": 1 << width}), width))
+    # str runs the same builder, so ref_str, which shares no code with it, is the check
+    assert text == ref_str(ref_nonzero(terms))
+    assert text == str(poly)
+
+
+def test_text_stores_nothing_for_the_exponents_it_skips():
+    top = EXPONENT_LIMIT - 1  # 8388607
+    poly = 5 * Q**top * P * S**2 * T**3 + Q**top - 1
+    tracemalloc.start()
+    try:
+        text = str(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "5*q^8388607*p*s^2*t^3 + q^8388607 - 1"
+    assert peak < 1 << 20
 
 
 def test_unpack_q_text_refuses_what_unpack_q_refuses():
     # the key of t^EXPONENT_LIMIT, which sets the t field's guard bit: no
     # public constructor makes one
     packed = _wrap({EXPONENT_LIMIT: 1, 1: 1})
-    for unpack in (_unpack_q, _unpack_q_text):
+    for unpack in (_unpack_q, lambda poly, width: _text(_classes(poly, width))):
         with pytest.raises(ValueError, match="does not fit below"):
             unpack(packed, 64)

@@ -565,3 +565,21 @@ def test_console_entry_point_runs_in_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "inv=1  fix=0  exc=1  depth=1"
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_code_141_and_no_traceback():
+    # 1.48 MB of output, more than any pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permotzkin.cli", "expand", "--preset", "refined"]
+        + ["--order", "14", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head == b"[\n  {\n    "
+    assert err == b""
