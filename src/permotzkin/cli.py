@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -28,20 +27,18 @@ from .motzkin import WeightedMotzkinPath
 from .permutations import Permutation, image_stats
 
 
-def _emit_table(rows: list[dict], fmt: str) -> str:
-    """Render a list of uniform records as json, csv or aligned text."""
+def _emit(rows: list[dict], fmt: str) -> None:
+    """Write a list of uniform records to stdout as json, csv or aligned text."""
     if fmt == "json":
-        return json.dumps(rows, indent=2)
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]) if rows else [])
+        json.dump(rows, sys.stdout, indent=2)
+        print()
+    elif fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]) if rows else [])
         writer.writeheader()
         writer.writerows(rows)
-        return buffer.getvalue().rstrip("\n")
-    lines = []
-    for row in rows:
-        lines.append("  ".join(f"{key}={value}" for key, value in row.items()))
-    return "\n".join(lines)
+    else:
+        for row in rows:
+            print("  ".join(f"{key}={value}" for key, value in row.items()))
 
 
 def _operand(text: str) -> str:
@@ -53,14 +50,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     perm = Permutation.from_text(_operand(args.perm))
     inv, fix, exc, dep = image_stats(perm.images)
     row = {"inv": inv, "fix": fix, "exc": exc, "depth": dep}
-    print(_emit_table([row], args.format))
+    _emit([row], args.format)
     return 0
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     path = encode_perm(Permutation.from_text(_operand(args.perm)))
     if args.format == "json":
-        print(json.dumps(path.to_records(), indent=2))
+        _emit(path.to_records(), "json")
     else:
         print(path.to_text())
     return 0
@@ -101,7 +98,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         {"n": n, "coefficient": _text(_classes(poly, width)) if width else str(poly)}
         for n, (poly, width) in enumerate(_series(spec, args.order))
     ]
-    print(_emit_table(rows, args.format))
+    _emit(rows, args.format)
     return 0
 
 
@@ -110,7 +107,7 @@ def _cmd_imbalance(args: argparse.Namespace) -> int:
     if args.format == "text":
         print(value)
     else:
-        print(_emit_table([{"stat": args.stat, "n": args.n, "value": value}], args.format))
+        _emit([{"stat": args.stat, "n": args.n, "value": value}], args.format)
     return 0
 
 
@@ -128,13 +125,12 @@ def _cmd_involution(args: argparse.Namespace) -> int:
         "delta": delta,
         "fixed": partner == perm,
     }
-    print(_emit_table([row], args.format))
+    _emit([row], args.format)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     records = verify_mod.run_checks(args.check or None, args.max_n)
-    rows = [record.as_record(timings=args.timings) for record in records]
     if args.format == "text":
         for record in records:
             marker = "PASS" if record.passed else "FAIL"
@@ -145,7 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         failed = sum(1 for record in records if not record.passed)
         print(f"{len(records) - failed}/{len(records)} checks passed")
     else:
-        print(_emit_table(rows, args.format))
+        _emit([record.as_record(timings=args.timings) for record in records], args.format)
     return 0 if all(record.passed for record in records) else 1
 
 
@@ -179,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_format(p: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
+        p.add_argument("--format", choices=choices, default="text")
 
     p = sub.add_parser("stats", help="inv/fix/exc/depth of a permutation")
     p.add_argument("perm", help='one-line notation, e.g. "3 2 1", or - to read stdin')
@@ -189,12 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="permutation -> weighted Motzkin path")
     p.add_argument("perm", help="as for stats; - reads stdin")
-    add_format(p)
+    add_format(p, ("text", "json"))
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="weighted Motzkin path -> permutation")
     p.add_argument("path", help='e.g. "U(1,0) H3(1,0) D(1,0)", a JSON array, or - to read stdin')
-    add_format(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("expand", help="continued-fraction series coefficients")

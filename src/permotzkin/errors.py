@@ -36,9 +36,10 @@ LIMITS: dict[str, Limit] = {
     "path-enumeration": Limit(10, "path enumeration is"),
     # expand of preset_depth and of custom specs: preset_depth to 30 takes 0.02 s
     "expansion": Limit(30, "expansion is", "order"),
-    # expand of preset_refined, CLI, text or JSON, each coefficient rendered from the packed
-    # DP state: order 20/22 take 1.5-1.6/6.9-9.3 s and 113/246 MB (brute_force_gf(12) took
-    # 0.97 s that day); order 24 took ~30 s and ~900 MB when the CLI held the whole series
+    # expand of preset_refined, CLI, stdout to a pipe, each coefficient rendered from the
+    # packed DP state and each row written straight to stdout: order 20/22 take 1.4-1.5/
+    # 6.6-8.6 s and 87/184 MB in JSON, 92/193 MB in text; order 24 took ~30 s and ~900 MB
+    # when the CLI held the whole series
     "refined-expansion": Limit(22, "expansion is", "order"),
     # brute_force_gf: n = 12/13 take 1.1/3.7 s and 53/129 MB (1.4-1.9/7.0 s on a slow guest)
     "brute-force": Limit(12, "brute force is"),
@@ -59,7 +60,7 @@ LIMITS: dict[str, Limit] = {
     # n = 9 (slow guest, where verify --max-n 9 takes 1.0 s in-process);
     # and of refined-cf, which would take 0.9 s more for n = 9 .. 12
     "verify-walks": Limit(8),
-    # the last n of verify's level-weights (1.5 ms at h = 22) and depth-min-cost (0.07 s at 7)
+    # the last n of verify's depth-min-cost: 0.07 s more at n = 7
     "verify-small": Limit(6),
     # the last row of verify's derangement table, from row 2 whatever --max-n: 4 ms
     "derangement-table": Limit(9),

@@ -26,9 +26,9 @@ unpacks each with ``algebra._unpack_q``.  The CLI never unpacks: it renders
 each coefficient's text straight from the packed state, running
 ``algebra._text``, the builder behind ``str``, over the classes that
 ``algebra._classes`` decodes, and drops the state, so ``expand --preset
-refined`` peaks at 113 MB at order 20 and 246 MB at order 22 (2-vCPU guest,
-stdout to a pipe), against 141 and 281 MB when it unpacked each coefficient
-and rendered it with ``str``.  A scalar run of the same DP
+refined`` peaks at 87 MB at order 20 and 184 MB at order 22 in JSON, 92 and
+193 MB in text (2-vCPU guest, stdout to a pipe), against 141 and 281 MB when
+it unpacked each coefficient and rendered it with ``str``.  A scalar run of the same DP
 first bounds every coefficient and q-degree, which fixes w in whole 64-bit
 words and the slot count.  A packed product costs in proportion to the
 width of its classes however few terms they hold, so three kinds of spec

@@ -197,7 +197,7 @@ CHECK_TABLE: dict[str, tuple[Callable[[int], tuple[str, str]], Callable[[int], r
         _derangement_table,
         lambda max_n: range(2, LIMITS["derangement-table"].bound + 1),
     ),
-    "level-weights": (_level_weights, _through(0, "verify-small")),
+    "level-weights": (_level_weights, _through(0)),
     "depth-min-cost": (_depth_min_cost, _through(0, "verify-small")),
 }
 

@@ -75,6 +75,15 @@ def test_decode_json_records(capsys):
     assert decoded.strip() == "3 2 1"
 
 
+def test_each_command_takes_only_the_formats_it_prints(capsys):
+    code, out, err = run(capsys, "decode", "U(1,0) D(1,0)", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --format json\n")
+    code, out, err = run(capsys, "encode", "2 1", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "argument --format: invalid choice: 'csv' (choose from 'text', 'json')" in err
+
+
 def test_decode_rejects_invalid_path(capsys):
     code, _, err = run(capsys, "decode", "U(1,0)")
     assert code == 2
@@ -126,6 +135,37 @@ def test_expand_refined_order_14_bytes(capsys):
     )
 
 
+class _WriteLengths:
+    """A stdout that keeps what is written and the length of each write."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_expand_writes_row_by_row_with_no_whole_output_buffer(monkeypatch, fmt):
+    # 1.48 MB in all; no write may be longer than the longest row's own encoding
+    stdout = _WriteLengths()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["expand", "--preset", "refined", "--order", "14", "--format", fmt]) == 0
+    out = "".join(stdout.parts)
+    if fmt == "json":
+        rows = json.loads(out)
+        longest = max(len(json.dumps(row["coefficient"])) for row in rows)
+    else:  # a header, then one line per row; no field holds a line break
+        rows = out.split("\r\n")[1:-1]
+        longest = max(len(row) + 2 for row in rows)
+    assert len(rows) == 15 and len(out) > 1_000_000
+    assert max(map(len, stdout.parts)) <= longest
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -161,9 +201,11 @@ def test_expand_refusals_print_nothing_to_stdout(capsys, preset, order, err):
 
 
 def test_verify_max_n_8_bytes(capsys):
+    # Re-taken when level-weights grew from heights 0..6 to every height
+    # through --max-n: the old text plus the records of h = 7, 8.
     code, out, _ = run(capsys, "verify", "--max-n", "8")
     assert code == 0
-    assert sha256(out) == "de19a6bd4986c0cd7e15dda308059ff20c65e7b425dfb9b83bd370f1bbc3d7f8"
+    assert sha256(out) == "5f7e918d1e3c2994f6f81339d20098b15d53d4e355159680d7c9fbdc858c1827"
 
 
 # These digests were taken at the commit before verify ran from one check
@@ -171,9 +213,10 @@ def test_verify_max_n_8_bytes(capsys):
 
 
 def test_verify_max_n_9_json_bytes(capsys):
+    # Re-taken, as above, with the level-weights records of h = 7..9.
     code, out, _ = run(capsys, "verify", "--max-n", "9", "--format", "json")
     assert code == 0
-    assert sha256(out) == "21e87608cf2d15bd766bf457c7e893b96996a7bcdbb1be88e48033b4a24e0667"
+    assert sha256(out) == "cf9716dda22e68cbfc293a31f10240dd0785f668e430be38994b7f978a61949d"
 
 
 def test_verify_max_n_5_csv_bytes(capsys):

@@ -6,7 +6,7 @@ it.  ``REACH`` gives, per coefficient and check, the largest h that the
 check is asserted to catch; every h up to it is a row.  gamma_h first enters
 the series at order 2h + 1 and lambda_h at 2h, so ``refined-cf`` through
 n = 8 reaches gamma_3 and lambda_4.  ``level-weights`` holds the step menus
-to the spec through height 6, whatever S_n says.
+to the spec through height 9, the bound of ``max_n``, whatever S_n says.
 
 A reach is a lower bound: a change that widens a check raises it, and no
 row asserts that a defect escapes, since such a test would fail each time
@@ -23,8 +23,8 @@ CHECKS = ["refined-cf", "level-weights"]
 
 #: coefficient -> check -> the largest height h whose defect the check catches
 REACH = {
-    "gamma": {"refined-cf": 3, "level-weights": 6},
-    "lam": {"refined-cf": 4, "level-weights": 6},
+    "gamma": {"refined-cf": 3, "level-weights": 9},
+    "lam": {"refined-cf": 4, "level-weights": 9},
 }
 
 ROWS = [

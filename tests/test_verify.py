@@ -27,7 +27,7 @@ SPANS = {
     "involution": (1, 8),
     "signed-gf": (1, 9),
     "derangement-series": (1, 9),
-    "level-weights": (0, 6),
+    "level-weights": (0, 9),
     "depth-min-cost": (0, 6),
 }
 
