@@ -37,8 +37,9 @@ def _emit(rows: list[dict], fmt: str) -> None:
         writer.writeheader()
         writer.writerows(rows)
     else:
-        for row in rows:
-            print("  ".join(f"{key}={value}" for key, value in row.items()))
+        for row in rows:  # part by part, so no line copies a long value
+            parts = [part for key, value in row.items() for part in ("  ", key, "=", value)]
+            print(*parts[1:], sep="")
 
 
 def _operand(text: str) -> str:

@@ -56,8 +56,8 @@ LIMITS: dict[str, Limit] = {
     "series-assembly": Limit(30, "series assembly is", "order"),
     # verify --max-n 9, CLI: 0.69-0.87 s and 18 MB (brute_force_gf(12) took 1.2 s that day)
     "verify": Limit(9, "verify is", "max_n"),
-    # the last n of verify's bijection/cardinality/involution: 6.5/0.55/0.7 s more at
-    # n = 9 (slow guest, where verify --max-n 9 takes 1.0 s in-process);
+    # the last n of verify's bijection/cardinality/involution: 3.0-3.7/0.25/0.34 s more
+    # at n = 9 (on a guest where verify --max-n 9 takes 0.5 s in-process);
     # and of refined-cf, which would take 0.9 s more for n = 9 .. 12
     "verify-walks": Limit(8),
     # the last n of verify's depth-min-cost: 0.07 s more at n = 7

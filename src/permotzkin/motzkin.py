@@ -30,11 +30,12 @@ every kernel reads, so equality and hashing compare int tuples.  A path is
 built only by ``from_text``, ``from_records``, ``bijection.encode`` and
 ``enumerate_weighted``; it is read through the tuples, ``to_text`` and
 ``to_records``.  Heights are stored rather than derived, so a wrong height
-in user input is reported as such.  One walk, ``path_exponents``, validates
-a path and sums its weight in the same pass; ``validate``, ``path_weight``
-and ``bijection.decode`` run it.  Heights and choices are ASCII digits in
-text and ``int``s in JSON records; nothing else (``1_0``, other digits,
-floats, bools, strings) is coerced.
+in user input is reported as such.  One walk, ``_walk``, reads each step
+once: it validates the path, sums its weight and rebuilds the permutation
+that ``bijection.encode`` maps to it.  ``path_exponents``,
+``bijection.decode`` and ``verify``'s ``bijection`` check run it.  Heights
+and choices are ASCII digits in text and ``int``s in JSON records; nothing
+else (``1_0``, other digits, floats, bools, strings) is coerced.
 """
 
 from __future__ import annotations
@@ -182,54 +183,83 @@ def step_weight(kind: StepKind, h: int, d: int) -> MultiPoly:
 
 
 def path_exponents(path: WeightedMotzkinPath) -> Monomial:
-    """Exponents (eq, ep, es, et) of the path weight, summed over the flat
-    tuples in the one validating walk; rejects invalid paths.
+    """Exponents (eq, ep, es, et) of the path weight; rejects invalid paths.
 
     The t exponent is the area between the path and the x-axis: a step at
     height h is a trapezoid of area h, or h - 1/2 for U and D, and U and D
     steps pair up level by level.
     """
+    return _walk(path)[0]
+
+
+def _walk(path: WeightedMotzkinPath) -> tuple[Monomial, tuple[int, ...]]:
+    """The one walk over a path's steps: it validates the path, sums the
+    exponents of its weight and rebuilds the images of the permutation that
+    ``bijection.encode`` maps to it.  Each step is checked before it pops
+    an open arc.
+
+    >>> _walk(WeightedMotzkinPath.from_text("U(1,0) D(1,0)"))
+    ((1, 0, 1, 1), (2, 1))
+    """
     kinds, heights, choices = path._flat
+    images = [0] * (len(kinds) + 1)
+    # Positions only grow, so appending keeps these lists sorted.
+    open_out: list[int] = []  # positions awaiting their image
+    open_in: list[int] = []  # positions awaiting their preimage
+    pending: list[int] = []  # choices of the unmatched U steps: their D's in-arc rank
     running = eq = es = et = 0
     for index, kind, h, d in zip(itertools.count(1), kinds, heights, choices):
         if kind == KIND_U:
             if h != running + 1:
                 raise _bad(index, f"U height {_echo(h)} does not match running height {running}")
-            running += 1
-            eq += d
-            es += 1
-            et += 2 * h - 1
+            if not 0 <= d < h:
+                raise _out_of_range(index, kind, d, h)
+            running = h
+            eq, es, et = eq + d, es + 1, et + 2 * h - 1
+            open_out.append(index)
+            open_in.append(index)
+            pending.append(d)
         elif kind == KIND_D:
             if running <= 0:
                 raise _bad(index, "D step below the x-axis")
             if h != running:
                 raise _bad(index, f"D height {_echo(h)} does not match running height {running}")
-            running -= 1
-            eq += 2 * h - 1 + d
+            if not 0 <= d < h:
+                raise _out_of_range(index, kind, d, h)
+            running, eq = h - 1, eq + 2 * h - 1 + d
+            images[open_out.pop(d)] = index
+            images[index] = open_in.pop(pending.pop())
         elif h != running:
             problem = f"{_NAMES[kind]} height {_echo(h)} does not match running height {running}"
             raise _bad(index, problem)
         elif kind == KIND_H3:
             if d != 0:
                 raise _bad(index, f"H3 choice must be 0, got {_echo(d, 'a number')}")
-            eq += 2 * h
-            et += h
-            continue
+            eq, et = eq + 2 * h, et + h
+            images[index] = index
         elif h < 1:
             raise _bad(index, f"{_NAMES[kind]} is not allowed at height 0")
+        elif not 0 <= d < h:
+            raise _out_of_range(index, kind, d, h)
+        elif kind == KIND_H1:  # H1 carries s, H2 does not
+            eq, es, et = eq + h + d, es + 1, et + h
+            images[open_out.pop(d)] = index
+            open_out.append(index)
         else:
-            eq += h + d
-            et += h
-            es += kind == KIND_H1  # H1 carries s, H2 does not
-        if not 0 <= d <= h - 1:  # U, D, H1 or H2, with h >= 1 by now
-            raise _bad(index, f"{_NAMES[kind]} choice {_echo(d)} out of range 0..{h - 1}")
+            eq, et = eq + h + d, et + h
+            images[index] = open_in.pop(d)
+            open_in.append(index)
     if running != 0:
         raise InvalidPathError(f"path ends at height {running}, not 0")
-    return (eq, kinds.count(KIND_H3), es, et)
+    return (eq, kinds.count(KIND_H3), es, et), tuple(images[1:])
 
 
 def _bad(index: int, problem: str) -> InvalidPathError:
     return InvalidPathError(f"step {index}: {problem}")
+
+
+def _out_of_range(index: int, kind: int, d: int, h: int) -> InvalidPathError:
+    return _bad(index, f"{_NAMES[kind]} choice {_echo(d)} out of range 0..{h - 1}")
 
 
 def validate(path: WeightedMotzkinPath) -> tuple[bool, str]:

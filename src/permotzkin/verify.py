@@ -15,11 +15,11 @@ The S_n walks do each permutation's work once, and share one table:
 ``permutations._stats_by_rank(n)``, the packed (inv, fix, exc, depth) of
 every permutation by lexicographic rank (``itertools.permutations`` order),
 built once per n by the recurrence behind ``brute_force_gf``.
-``bijection`` validates each image once, in ``motzkin.path_exponents``,
-which also sums its weight, compares that weight with the table's entry,
-and compares the decode kernel's images with the permutation's.  So it
-checks every entry of the table too.  It keeps no path set: validation,
-the round trip and the n! of ``cardinality`` make its image the whole set.
+``bijection`` reads each image once, in ``motzkin._walk``, which validates,
+weighs and decodes it.  The check compares that weight with the table's
+entry, so it checks every entry of the table too, and the decoded images
+with the permutation's.  It keeps no path set: validation, the round trip
+and the n! of ``cardinality`` make its image the whole set.
 ``involution`` reads ``_pairing(n)``, built from the same table, and the
 table itself, loops over ranks, keeps no permutation and unranks one only
 to name a failure.  A partner rank outside 0 .. n! - 1 is reported as not
@@ -73,11 +73,11 @@ class ReportRecord:
 def _bijection(n: int) -> tuple[str, str]:
     expected = f"bijective onto the {n}! weighted paths, weights preserved"
     for perm, stats in zip(iter_group(n), permutations._stats_by_rank(n)):
-        path = bijection.encode(perm)
+        exponents, images = motzkin._walk(bijection.encode(perm))
         # a valid path's exponents are some permutation's statistics, each below 256
-        if _pack(motzkin.path_exponents(path)) != stats:
+        if _pack(exponents) != stats:
             return expected, f"weight mismatch at {perm.to_text()!r}"
-        if bijection._decode_images(path) != perm.images:
+        if images != perm.images:
             return expected, f"round trip failed at {perm.to_text()!r}"
     return expected, expected
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -184,38 +185,53 @@ def test_round_trip_catches_encode_sending_two_permutations_to_one_path(monkeypa
     assert failed_records() == [("bijection", 4, f"round trip failed at {lost.to_text()!r}")]
 
 
+def patch_walk(monkeypatch, mutate):
+    """Serve the walk's (exponents, images) through ``mutate`` on every path."""
+    walk = motzkin._walk
+    monkeypatch.setattr(motzkin, "_walk", lambda path: mutate(*walk(path)))
+
+
 def test_round_trip_catches_a_decode_kernel_swapping_two_images(monkeypatch):
-    # The check compares the kernel's images with the permutation's, so a
-    # kernel wrong on one permutation of S_4 fails that record and no other.
-    kernel = bijection._decode_images
+    # The check compares the walk's images with the permutation's, so a
+    # walk wrong on one permutation of S_4 fails that record and no other.
+    def swapping(exponents, images):
+        if images == (2, 4, 1, 3):
+            images = (4, 2, 1, 3)
+        return exponents, images
 
-    def swapping(path):
-        images = kernel(path)
-        return (images[1], images[0], *images[2:]) if images == (2, 4, 1, 3) else images
-
-    monkeypatch.setattr(bijection, "_decode_images", swapping)
+    patch_walk(monkeypatch, swapping)
     assert failed_records() == [("bijection", 4, "round trip failed at '2 4 1 3'")]
+
+
+def test_weight_check_catches_a_walk_summing_wrong_exponents(monkeypatch):
+    # One more inversion on one permutation of S_4 fails that record and no other.
+    def shifted(exponents, images):
+        if images == (2, 4, 1, 3):
+            exponents = (exponents[0] + 1, *exponents[1:])
+        return exponents, images
+
+    patch_walk(monkeypatch, shifted)
+    assert failed_records() == [("bijection", 4, "weight mismatch at '2 4 1 3'")]
 
 
 def test_bijection_check_validates_each_path_once(monkeypatch):
     walks = []
-    path_exponents = motzkin.path_exponents
+    walk = motzkin._walk
 
     def counted(path):
         walks.append(path)
-        return path_exponents(path)
+        return walk(path)
 
     def refuse(path):
-        raise AssertionError("the bijection check called the public decode")
+        raise AssertionError("the bijection check called a public walk")
 
-    # every name under which the validating walk can be reached
-    monkeypatch.setattr(motzkin, "path_exponents", counted)
-    monkeypatch.setattr(bijection, "path_exponents", counted)
+    monkeypatch.setattr(motzkin, "_walk", counted)
+    monkeypatch.setattr(motzkin, "path_exponents", refuse)
     monkeypatch.setattr(bijection, "decode", refuse)
     records = verify.run_checks(["bijection"], 6)
     assert [record.n for record in records if record.passed] == list(range(7))
-    assert len(walks) == sum(math.factorial(n) for n in range(7))
     assert len(set(walks)) == len(walks)
+    assert Counter(map(len, walks)) == {n: math.factorial(n) for n in range(7)}
 
 
 def test_weight_check_catches_a_path_of_other_statistics(monkeypatch):
